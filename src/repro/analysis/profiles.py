@@ -49,8 +49,9 @@ def profile_checksum(samples: Iterable[Sample]) -> str:
 
     Covers cycle, interval, category and the exact attribution weights
     (via ``repr``, which round-trips floats), so two sample lists hash
-    equal iff they are bit-identical.  Used to assert sharded replay
-    equals serial replay (CI's parallel-replay job).
+    equal iff they are bit-identical.  Used to assert that replay
+    engines, trace formats and parallel suite workers all reproduce
+    the same samples.
     """
     digest = hashlib.sha256()
     for sample in samples:

@@ -13,17 +13,16 @@ Commands
 ``overhead``
     Print the Section 3.2 overhead summary.
 ``record FILE.s -o trace.bin``
-    Simulate once and serialize the commit-stage trace (chunk-indexed
-    v2 by default; ``--format v1`` for the legacy flat stream).
+    Simulate once and serialize the commit-stage trace (columnar v3 by
+    default; ``--format v2`` for row-encoded chunks, ``--format v1``
+    for the legacy flat stream).
 ``replay trace.bin FILE.s``
-    Re-profile a recorded trace without re-simulating; ``--jobs N``
-    shards a v2 trace over worker processes and ``--engine`` picks
-    columnar-block or per-record consumption (bit-identical results).
+    Re-profile a recorded trace (v1, v2 or v3) without re-simulating;
+    ``--engine`` picks columnar-block or per-record consumption
+    (bit-identical results).
 ``convert-trace trace.bin -o trace2.bin``
-    Re-encode a v1 trace in the chunk-indexed v2 format.
-``bench``
-    Time the simulate/record/replay/suite pipeline and write
-    ``BENCH_pipeline.json``.
+    Re-encode a trace in another format version, in any direction
+    (``--to v3`` by default).
 ``bench --trace trace.bin --program FILE.s``
     Time the cycle-vs-block replay engines on a recorded trace and
     write ``BENCH_hotpath.json`` (``--quick`` for CI smoke runs).
@@ -284,28 +283,19 @@ def cmd_replay(args) -> int:
     from .analysis import profile_error
     from .harness import ProfilerConfig, replay_experiment
     from .kernel import Kernel
-    from .parallel import ProgramSpec
     with open(args.program) as handle:
-        source = handle.read()
-    program = assemble(source, name=args.program)
+        program = assemble(handle.read(), name=args.program)
     image = Kernel().boot(program)
     mode = "random" if args.random else "periodic"
     configs = [ProfilerConfig(args.policy, args.period, mode)]
-    spec = ProgramSpec(kind="asm", source=source, name=args.program)
     result = replay_experiment(args.trace, image, configs,
-                               sanitize=args.sanitize, jobs=args.jobs,
-                               spec=spec, engine=args.engine)
-    outcome = result.replay
+                               sanitize=args.sanitize, engine=args.engine)
     profiler = result.profilers[args.policy]
     granularity = Granularity(args.granularity)
     error = profile_error(profiler, result.oracle, result.symbolizer,
                           granularity)
-    print(f"replayed {outcome.cycles} cycles, "
-          f"{len(profiler.samples)} samples "
-          f"({outcome.mode}, {outcome.shards} shard(s), "
-          f"{outcome.engine} engine)")
-    if outcome.fallback_reason:
-        print(f"note: serial fallback: {outcome.fallback_reason}")
+    print(f"replayed {result.oracle.total_cycles} cycles, "
+          f"{len(profiler.samples)} samples ({result.engine} engine)")
     print(f"{args.policy} {granularity.value}-level error: {error:.2%}")
     if result.sanitizer is not None:
         print(result.sanitizer.summary())
@@ -330,18 +320,8 @@ def cmd_bench(args) -> int:
             print("--trace requires --program", file=sys.stderr)
             return 2
         return _cmd_bench_hotpath(args)
-    from .parallel import render_bench, run_bench
-    benchmarks = args.benchmarks or None
-    if _reject_unknown_benchmarks(benchmarks):
-        return 2
-    from .parallel.bench import DEFAULT_BENCHMARKS
-    result = run_bench(output=args.output,
-                       benchmarks=benchmarks or DEFAULT_BENCHMARKS,
-                       scale=args.scale, jobs=args.jobs,
-                       chunk_cycles=args.chunk_cycles,
-                       compress=args.compress, verbose=True)
-    print(render_bench(result))
-    return 0 if result["checksums_equal"] else 1
+    print("bench needs --sim or --trace", file=sys.stderr)
+    return 2
 
 
 def _cmd_bench_sim(args) -> int:
@@ -947,9 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "NCI+ILP", "TIP-ILP", "TIP"])
     replay.add_argument("--granularity", default="instruction",
                         choices=[g.value for g in Granularity])
-    replay.add_argument("--jobs", type=int, default=1,
-                        help="shard the replay over N worker processes "
-                             "(v2/v3 traces; bit-identical to serial)")
     replay.add_argument("--engine", default="block",
                         choices=["cycle", "block"],
                         help="trace consumption engine: columnar "
@@ -974,19 +951,13 @@ def build_parser() -> argparse.ArgumentParser:
     convert.set_defaults(func=cmd_convert_trace)
 
     bench = sub.add_parser(
-        "bench", help="time the simulate/record/replay/suite pipeline")
-    bench.add_argument("benchmarks", nargs="*")
-    bench.add_argument("-o", "--output", default="BENCH_pipeline.json")
-    bench.add_argument("--scale", type=float, default=0.2)
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: CPU count)")
-    bench.add_argument("--chunk-cycles", type=int,
-                       default=DEFAULT_CHUNK_CYCLES)
-    bench.add_argument("--compress", action="store_true")
+        "bench", help="time the replay engines (--trace) or the "
+                      "simulation fast path (--sim)")
+    bench.add_argument("benchmarks", nargs="*",
+                       help="suite benchmarks for --sim runs")
     bench.add_argument("--trace",
-                       help="recorded v2 trace: benchmark the "
-                            "cycle-vs-block replay engines on it "
-                            "instead of the full pipeline")
+                       help="recorded trace (v1, v2 or v3): benchmark "
+                            "the cycle-vs-block replay engines on it")
     bench.add_argument("--program",
                        help="assembly source the trace was recorded "
                             "from (required with --trace)")
@@ -998,8 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output file for --trace runs")
     bench.add_argument("--sim", action="store_true",
                        help="benchmark step vs fast-forward vs "
-                            "cache-hit simulation instead of the "
-                            "full pipeline")
+                            "cache-hit simulation")
     bench.add_argument("--sim-output", default="BENCH_sim.json",
                        help="output file for --sim runs")
     _add_common(bench)

@@ -57,13 +57,6 @@ _EXACT_LIMIT = float(1 << 53)
 #: Key identifying a sampling schedule: (period, mode, seed).
 ScheduleKey = Tuple[int, str, int]
 
-#: ChunkCarry flush-kind code (KIND_*) -> FlushKind.
-_KIND_TO_FLUSH: Dict[int, Optional[FlushKind]] = {
-    0: None, 1: FlushKind.MISPREDICT, 2: FlushKind.CSR,
-    3: FlushKind.EXCEPTION, 4: FlushKind.ORDERING,
-}
-
-
 def schedule_key(schedule: SampleSchedule) -> ScheduleKey:
     return (schedule.period, schedule.mode, schedule.seed)
 
@@ -645,54 +638,6 @@ class OracleProfiler(TraceObserver):
             self._fast.flush_into(self.report)
         self.report.total_cycles = final_cycle
 
-    # -- sharded replay (snapshot/merge protocol) ------------------------------------
-
-    def begin_shard(self, start_cycle: int, carry) -> None:
-        """Resume attribution mid-stream from carried chunk state."""
-        for marker in self._watch_markers:
-            marker.fast_forward(start_cycle)
-        for accumulator in self._accumulators:
-            accumulator.schedule.fast_forward(start_cycle)
-        self._oir_addr = carry.oir_addr
-        self._oir_flag = carry.oir_flag
-        self._oir_kind = _KIND_TO_FLUSH[carry.oir_kind]
-
-    def shard_settled(self) -> bool:
-        return not self._pending_drain
-
-    def resolve_only(self, record: CycleRecord) -> bool:
-        """Run-over mode: resolve a trailing front-end drain only."""
-        if self._pending_drain and record.dispatched:
-            self._resolve_drain(record.dispatched[0])
-        return not self._pending_drain
-
-    def snapshot(self) -> dict:
-        """Picklable capture of everything this shard attributed."""
-        if self._fast is not None:
-            self._fast.flush_into(self.report)
-        report = self.report
-        return {
-            "profile": dict(report.profile),
-            "categorized": dict(report.categorized),
-            "category_totals": dict(report.category_totals),
-            "flush_breakdown": dict(report.flush_breakdown),
-            "watched": dict(report.watched),
-            "intervals": {key: {cycle: dict(weights)
-                                for cycle, weights in per_cycle.items()}
-                          for key, per_cycle in report.intervals.items()},
-            # Partial interval accumulation past the last sample point,
-            # folded into the successor shard's first interval on merge.
-            "residuals": {schedule_key(acc.schedule): dict(acc.current)
-                          for acc in self._accumulators},
-        }
-
-    def absorb(self, snapshots: Iterable[dict],
-               total_cycles: int) -> None:
-        """Merge-side leg of the shard protocol: fill this (fresh)
-        profiler's report from ordered shard snapshots."""
-        self.report = merge_oracle_snapshots(snapshots, total_cycles)
-        self._fast = None  # the report is final; don't re-flush scratch
-
     # -- internals -------------------------------------------------------------------
 
     def _resolve_drain(self, addr: int) -> None:
@@ -713,8 +658,8 @@ class OracleProfiler(TraceObserver):
               flush_kind: Optional[FlushKind] = None) -> None:
         if self._fast is not None:
             # No watches are active; route through the scratch so a run
-            # that mixes engines (block shard body + record run-over)
-            # keeps one accumulation order.
+            # that mixes per-record and block input keeps one
+            # accumulation order.
             cat_code = _CAT_CODE[category]
             flush_code = -1 if flush_kind is None \
                 else _FLUSH_CODE[flush_kind]
@@ -727,51 +672,3 @@ class OracleProfiler(TraceObserver):
             self.report.watched[cycle] = (weights, category)
         for accumulator in self._accumulators:
             accumulator.add(cycle, weights)
-
-
-def _merge_into(target: Dict, source: Dict) -> None:
-    for key, value in source.items():
-        target[key] = target.get(key, 0.0) + value
-
-
-def merge_oracle_snapshots(snapshots: Iterable[dict],
-                           total_cycles: int) -> OracleReport:
-    """Combine ordered shard snapshots into one :class:`OracleReport`.
-
-    Every cycle is attributed in exactly one shard, so profile,
-    category and watch data merge by summation/union.  Interval
-    accumulations that span a shard boundary are stitched: a shard's
-    *residual* (attribution past its last sample point) is folded into
-    the successor's first interval.  Values match a serial replay up to
-    floating-point summation order.
-    """
-    report = OracleReport()
-    snapshots = list(snapshots)
-    for snap in snapshots:
-        _merge_into(report.profile, snap["profile"])
-        _merge_into(report.categorized, snap["categorized"])
-        _merge_into(report.category_totals, snap["category_totals"])
-        _merge_into(report.flush_breakdown, snap["flush_breakdown"])
-        report.watched.update(snap["watched"])
-
-    keys = {key for snap in snapshots for key in snap["intervals"]}
-    for key in keys:
-        merged: Dict[int, Dict[int, float]] = {}
-        carry: Dict[int, float] = {}
-        for snap in snapshots:
-            per_cycle = snap["intervals"].get(key, {})
-            items = sorted(per_cycle.items())
-            for position, (cycle, weights) in enumerate(items):
-                interval = dict(weights)
-                if position == 0 and carry:
-                    _merge_into(interval, carry)
-                    carry = {}
-                merged[cycle] = interval
-            residual = snap["residuals"].get(key, {})
-            if items:
-                carry = dict(residual)
-            else:
-                _merge_into(carry, residual)
-        report.intervals[key] = merged
-    report.total_cycles = total_cycles
-    return report

@@ -71,27 +71,6 @@ class SampleSchedule:
                               + self._rng.randrange(self.period))
         return hit
 
-    def fast_forward(self, start_cycle: int) -> int:
-        """Advance past every sample point before *start_cycle*.
-
-        Leaves the schedule in exactly the state it would have after
-        ``is_sample`` was called for every cycle in ``[0, start_cycle)``
-        -- including the RNG draw sequence in random mode, which draws
-        once per period interval.  Returns the last sample cycle that
-        was skipped (``-1`` if none), which is the value a profiler
-        needs for ``_prev_sample_cycle`` when it resumes mid-stream.
-        """
-        prev = -1
-        while self._next < start_cycle:
-            prev = self._next
-            self._interval_start += self.period
-            if self.mode == "periodic":
-                self._next = self._interval_start + self.offset
-            else:
-                self._next = (self._interval_start
-                              + self._rng.randrange(self.period))
-        return prev
-
     def clone(self) -> "SampleSchedule":
         """A fresh schedule with identical parameters (same cycles)."""
         return SampleSchedule(self.period, self.mode, self.seed, self.offset)

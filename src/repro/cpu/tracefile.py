@@ -28,8 +28,9 @@ format compact.
 Format v1 (``TIPTRC01``) is a flat stream: magic, banks byte, then one
 record per cycle from cycle 0.
 
-Format v2 (``TIPTRC02``) is *chunk-indexed* so a trace can be replayed
-out-of-band by parallel workers (see :mod:`repro.parallel`):
+Format v2 (``TIPTRC02``) is *chunk-indexed*: a reader can seek to any
+chunk and decode it on its own, which is how the block replay engine
+(:mod:`repro.fastpath`) turns each chunk into one columnar block:
 
 * file header: magic, u8 banks, u8 flags (bit0: zlib-compressed
   payloads), u32 chunk_cycles (records per full chunk);
@@ -37,12 +38,13 @@ out-of-band by parallel workers (see :mod:`repro.parallel`):
   count, payload sizes, carried machine state) followed by the encoded
   records of ``chunk_cycles`` consecutive cycles (optionally zlib).
 
-The carried state (:class:`ChunkCarry`) is everything a profiler needs
-to *cold-start* at a chunk boundary exactly as if it had consumed the
-whole prefix: the Offending Instruction Register mirror (address, flag,
+The carried state (:class:`ChunkCarry`) is the machine state at a chunk
+boundary: the Offending Instruction Register mirror (address, flag,
 flush kind), the last committed address, and whether the previous cycle
 flushed (for the sanitizer's drain check).  All of it is derivable from
-the trace prefix, so it is computed once at record time.
+the trace prefix, so it is computed once at record time.  Replay reads
+chunks in order and never needs it; it stays in the header because it
+is part of the on-disk format.
 
 Format v3 (``TIPTRC03``) is *zero-copy columnar*: each chunk's payload
 is the raw :class:`~repro.fastpath.block.CycleBlock` columns themselves
@@ -51,7 +53,7 @@ packed-u64 optional/commit/dispatch columns and the commit-meta bytes),
 each column 8-byte aligned with a per-column offset table in the chunk
 header.  Decoding a v3 chunk is therefore a handful of ``memoryview``
 casts over an ``mmap`` of the trace file -- no per-record Python loop
--- and forked shard workers that map the same file share its pages.
+-- and every process that maps the same file shares its pages.
 Everything is little-endian on disk; on big-endian hosts the reader
 falls back to ``array.byteswap`` copies.  zlib compression stays
 available as an opt-out that falls back to buffer copies.
@@ -462,8 +464,8 @@ class TraceWriterV2(_AtomicWriterMixin, TraceObserver):
 
     Records are buffered and flushed as chunks of *chunk_cycles*
     records; each chunk header stores the cycle range and the machine
-    state carried into the chunk, so parallel workers can decode and
-    replay any chunk range independently (:mod:`repro.parallel.shard`).
+    state carried into the chunk, so a reader can decode any chunk on
+    its own.
 
     *stream* may be an open binary stream or a filesystem path.  In
     path mode the writer is **atomic**: it writes to a unique ``*.tmp``
@@ -1073,11 +1075,11 @@ class TraceReaderV2:
     """Open-once random-access reader over a chunk-indexed v2 trace.
 
     Opens the source a single time, scans the chunk directory, and
-    serves chunk reads by seeking within the same open stream.  This is
-    what shard workers use: the earlier :func:`read_chunk` helper
-    reopens the trace file on *every* chunk read, which costs one
-    ``open``/``close`` syscall pair per chunk and defeats OS readahead;
-    a reader amortizes the open over the whole shard.
+    serves chunk reads by seeking within the same open stream.  The
+    earlier :func:`read_chunk` helper reopens the trace file on *every*
+    chunk read, which costs one ``open``/``close`` syscall pair per
+    chunk and defeats OS readahead; a reader amortizes the open over
+    the whole replay.
 
     Usable as a context manager::
 
@@ -1157,8 +1159,8 @@ class TraceReaderV3:
 
     Path sources are ``mmap``-ed read-only: decoding a chunk is then a
     set of ``memoryview`` casts straight over the mapping -- the OS
-    page cache is the only copy, and forked shard workers that open the
-    same path share those pages.  ``bytes`` sources are viewed in
+    page cache is the only copy, and processes that open the same path
+    share those pages.  ``bytes`` sources are viewed in
     place; stream sources are read into one buffer.  zlib-compressed
     traces fall back to one decompress-copy per chunk.
 

@@ -4,6 +4,10 @@ Exactly like the paper's methodology, a single simulation run drives the
 Oracle plus any number of practical profiler configurations.  All
 profilers constructed with equal sampling parameters fire on the *exact
 same cycles*, so error differences between them are purely systematic.
+
+:func:`run_experiment` simulates live; :func:`replay_experiment` is the
+one entry point for re-profiling a recorded trace, in a single serial
+pass that every observer shares.
 """
 
 from __future__ import annotations
@@ -85,6 +89,9 @@ class ExperimentResult:
         #: (block-engine replay of the cached trace) instead of a live
         #: simulation.  Results are bit-identical either way.
         self.cached = False
+        #: Engine a trace replay actually used ("cycle" or "block");
+        #: ``None`` for simulations.
+        self.engine: Optional[str] = None
         self.symbolizer = Symbolizer(program)
 
     # -- errors -------------------------------------------------------------------
@@ -226,7 +233,7 @@ def run_experiment(program: Program,
                     engine=engine, sim=sim, paranoid=paranoid,
                     cache=sim_cache)
             # Replay reports the last record's cycle; the simulator
-            # reports the cycle after it (same fixup as replay_serial).
+            # reports the cycle after it (same fixup as replay_experiment).
             oracle.report.total_cycles = hit.stats.cycles
             result = ExperimentResult(image, oracle.report, built,
                                       hit.stats, sanitizer=sanitizer)
@@ -260,11 +267,6 @@ def run_experiment(program: Program,
 def replay_experiment(trace, image: Program,
                       profilers: Sequence[ProfilerConfig],
                       sanitize: bool = False,
-                      jobs: int = 1,
-                      spec=None,
-                      timeout: Optional[float] = None,
-                      retries: int = 1,
-                      verbose: bool = False,
                       engine: str = "block") -> ExperimentResult:
     """Re-profile a recorded trace out-of-band (no re-simulation).
 
@@ -275,39 +277,38 @@ def replay_experiment(trace, image: Program,
     trace N times and multiply its cycle counts by N; ``cycles_checked``
     equals the trace length exactly.
 
-    With *jobs* > 1 and a :class:`~repro.parallel.shard.ProgramSpec`
-    (*spec*) the replay is sharded across worker processes
-    (chunk-indexed v2/v3 traces only) with bit-identical profiler
-    samples; anything non-shardable silently falls back to this serial
-    path.
-
-    *engine* selects how the trace is consumed: ``"block"`` (default)
-    decodes each chunk into a columnar
-    :class:`~repro.fastpath.CycleBlock` that every observer shares
-    (degrading automatically to record-at-a-time for v1 traces), and
+    *trace* is a path, raw bytes or a binary stream in any trace format
+    (v1, v2 or v3).  *engine* selects how it is consumed: ``"block"``
+    (default) decodes each chunk into a columnar
+    :class:`~repro.fastpath.CycleBlock` that every observer shares, and
     ``"cycle"`` forces the classic per-record replay.  Both engines
-    produce bit-identical profiles.
+    produce bit-identical profiles.  v1 traces have no chunk directory,
+    so a block request degrades to the cycle engine; the engine
+    actually used is ``result.engine``.
 
-    ``result.stats`` is ``None`` -- the simulator never ran.  The
-    underlying :class:`~repro.parallel.shard.ReplayOutcome` is exposed
-    as ``result.replay`` (mode, shard count, engine, fallback reason).
+    ``result.stats`` is ``None`` -- the simulator never ran -- and
+    ``result.oracle.total_cycles`` is the replayed record count.
     """
-    from ..parallel.shard import replay_serial, replay_sharded
-    configs = tuple(profilers)
-    watch_keys = tuple(sorted({(p.period, p.mode, p.seed)
-                               for p in configs}))
-    if jobs > 1 and spec is not None:
-        outcome = replay_sharded(trace, spec, configs, jobs,
-                                 watch_keys=watch_keys,
-                                 sanitize=sanitize, image=image,
-                                 timeout=timeout, retries=retries,
-                                 verbose=verbose, engine=engine)
-    else:
-        outcome = replay_serial(trace, image, configs, watch_keys,
-                                sanitize, engine)
-    result = ExperimentResult(image, outcome.oracle, outcome.profilers,
-                              stats=None, sanitizer=outcome.sanitizer)
-    result.replay = outcome
+    from ..fastpath.engine import replay_with_engine
+    built: Dict[str, SamplingProfiler] = {}
+    for profiler_config in profilers:
+        if profiler_config.name in built:
+            raise ValueError(
+                f"duplicate profiler label {profiler_config.name!r}")
+        built[profiler_config.name] = profiler_config.build(image)
+    watch_keys = sorted({(p.period, p.mode, p.seed) for p in profilers})
+    oracle = OracleProfiler(
+        image, watch_schedules=[SampleSchedule(*key)
+                                for key in watch_keys])
+    sanitizer = TraceSanitizer(program=image) if sanitize else None
+    observers = list(built.values()) + [oracle]
+    if sanitizer is not None:
+        observers.append(sanitizer)
+    cycles, engine_used = replay_with_engine(trace, observers, engine)
+    oracle.report.total_cycles = cycles
+    result = ExperimentResult(image, oracle.report, built, stats=None,
+                              sanitizer=sanitizer)
+    result.engine = engine_used
     return result
 
 

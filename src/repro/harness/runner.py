@@ -163,6 +163,7 @@ def run_suite(workloads: Optional[Sequence[Workload]] = None,
             max_cycles=max_cycles, sanitize=sanitize,
             timeout=DEFAULT_JOB_TIMEOUT if timeout is None else timeout,
             retries=retries, verbose=verbose, sim=sim,
+            paranoid=paranoid,
             cache_dir=None if sim_cache is None else sim_cache.root)
     results: Dict[str, ExperimentResult] = {}
     failures: Dict[str, JobFailure] = {}

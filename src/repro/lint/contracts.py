@@ -1,7 +1,7 @@
 """AST-based conformance checker for observer/profiler contracts.
 
 The fast paths only stay equivalent to cycle-stepping because observers
-keep three promises:
+keep these promises:
 
 * **block-native pairing** (C001): a profiler advertising
   ``block_native = True`` must implement the columnar hooks the block
@@ -12,14 +12,10 @@ keep three promises:
   ``on_stall_run`` -- otherwise run-length-compressed stall regions
   fall back to the O(n) per-cycle loop (or, worse, a subclass that
   forgot the override silently disagrees with the batched path);
-* **shard protocol completeness** (C003): ``begin_shard`` + ``snapshot``
-  on the shard side and ``absorb``/``restore_snapshots`` on the merge
-  side only make sense together -- a partial implementation deadlocks
-  or silently drops state in ``--jobs N`` runs;
-* **no shared mutable state** (C004): methods executed inside shards
-  must not mutate module-level or class-level state; each shard runs in
-  its own process or interleaving, so such writes are lost, doubled or
-  raced depending on the executor;
+* **no shared mutable state** (C004): observer methods must not mutate
+  module-level or class-level state; such writes leak between profiler
+  instances and between runs in one process (a suite run drives many
+  jobs per process), so one run's results bleed into the next;
 * **batched-period pairing** (C005): an observer overriding
   ``on_cycle_run`` (the steady-state memoizer's whole-period batch leg)
   has opted into batched ``sim=fast`` input, so it must also override
@@ -47,16 +43,12 @@ from .diagnostics import Diagnostic, Severity
 #: recognisable base class.
 HOOK_NAMES = frozenset({
     "on_cycle", "on_stall_run", "on_cycle_run", "on_block", "on_finish",
-    "begin_shard", "shard_settled", "resolve_only", "snapshot",
-    "restore_snapshots", "absorb",
     "_block_attribute", "_block_scan_resolve", "_block_resolve_outcome",
     "_block_update_tail",
 })
 
 _BLOCK_HOOKS = ("_block_attribute", "_block_scan_resolve",
                 "_block_resolve_outcome")
-_SHARD_LEGS = ("begin_shard", "snapshot")
-_MERGE_LEGS = ("absorb", "restore_snapshots", "merge")
 
 #: The framework root whose ``on_stall_run``/``on_block`` bodies are
 #: per-cycle *fallbacks*: inheriting them is correct but does not count
@@ -73,9 +65,6 @@ _FALLBACK_METHODS: Dict[str, Dict[str, bool]] = {
     "TraceObserver": {},  # its hooks are defaults, not overrides
     "SamplingProfiler": {
         "on_cycle": True, "on_stall_run": True, "on_finish": True,
-        "begin_shard": True, "shard_settled": True,
-        "resolve_only": True, "snapshot": True,
-        "restore_snapshots": True,
         "_block_attribute": False, "_block_scan_resolve": False,
         "_block_resolve_outcome": False, "_block_update_tail": True,
     },
@@ -83,7 +72,7 @@ _FALLBACK_METHODS: Dict[str, Dict[str, bool]] = {
 
 _FALLBACK_ATTRS: Dict[str, Dict[str, Any]] = {
     "TraceObserver": {},
-    "SamplingProfiler": {"block_native": False, "shardable": False},
+    "SamplingProfiler": {"block_native": False},
 }
 
 #: In-place mutator method names C004 watches for on shared objects.
@@ -92,11 +81,6 @@ _MUTATORS = frozenset({
     "popitem", "clear", "remove", "discard", "insert", "sort",
     "reverse", "appendleft", "extendleft",
 })
-
-#: Methods that run on the merge side (parent process), where mutating
-#: shared state is the whole point.
-_MERGE_SIDE = frozenset({"absorb", "restore_snapshots", "merge",
-                         "__init__", "__post_init__"})
 
 _SUPPRESS_COMMENT = "lint: shared-ok"
 
@@ -400,27 +384,6 @@ def _check_cycle_run_pairing(info: ClassInfo,
                  "run-length-compressed stall cycles")]
 
 
-def _check_shard_protocol(info: ClassInfo,
-                          resolver: _Resolver) -> List[Diagnostic]:
-    local = [m for m in (_SHARD_LEGS + _MERGE_LEGS)
-             if m in info.methods and not _is_abstract(info.methods[m])]
-    if not local:
-        return []
-    missing = [leg for leg in _SHARD_LEGS
-               if not resolver.overrides(info, leg)]
-    if not any(resolver.overrides(info, leg) for leg in _MERGE_LEGS):
-        missing.append(" or ".join(_MERGE_LEGS[:2]))
-    if not missing:
-        return []
-    return [_diag(
-        "C003", Severity.ERROR,
-        f"{info.name} implements {', '.join(local)} but the shard "
-        f"protocol is incomplete: missing {', '.join(missing)}",
-        info=info, node=info.methods[local[0]],
-        fix_hint="define begin_shard + snapshot + a merge-side method "
-                 "(absorb or restore_snapshots) together")]
-
-
 def _attr_chain(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
     """Innermost value of an attribute/subscript chain + attr names."""
     attrs: List[str] = []
@@ -468,7 +431,7 @@ def _mutable_class_attrs(info: ClassInfo) -> Set[str]:
 
 
 class _HazardScanner:
-    """Finds mutations of shared state inside one shard-side method."""
+    """Finds mutations of shared state inside one observer method."""
 
     def __init__(self, info: ClassInfo, func: ast.FunctionDef,
                  source_lines: List[str]):
@@ -561,20 +524,19 @@ def _check_shared_state(info: ClassInfo, resolver: _Resolver,
                         source_lines: List[str]) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     for name, func in sorted(info.methods.items()):
-        if name in _MERGE_SIDE or _is_abstract(func):
+        if _is_abstract(func):
             continue
         for node, why in _HazardScanner(info, func,
                                         source_lines).scan():
             out.append(_diag(
                 "C004", Severity.ERROR,
-                f"{info.name}.{name} {why}; shard-executed methods "
-                f"must not mutate shared state (results are lost or "
-                f"raced under --jobs N)",
+                f"{info.name}.{name} {why}; observer methods must "
+                f"not mutate shared state (it leaks between profiler "
+                f"instances and between runs in one process)",
                 info=info, node=node,
-                fix_hint="move the state onto the instance and merge "
-                         "it in absorb()/restore_snapshots(), or mark "
-                         "the line `# lint: shared-ok` if it is "
-                         "provably shard-local"))
+                fix_hint="move the state onto the instance (set it in "
+                         "__init__), or mark the line "
+                         "`# lint: shared-ok` if sharing is intended"))
     return out
 
 
@@ -582,8 +544,7 @@ def _check_shared_state(info: ClassInfo, resolver: _Resolver,
 CONTRACT_RULES: Dict[str, str] = {
     "C001": "block_native profilers must implement the columnar hooks",
     "C002": "on_block overrides must pair with on_stall_run",
-    "C003": "shard protocol legs must be implemented together",
-    "C004": "shard-executed methods must not mutate shared state",
+    "C004": "observer methods must not mutate shared state",
     "C005": "on_cycle_run overrides must pair with on_stall_run",
 }
 
@@ -607,13 +568,13 @@ def iter_python_files(targets: Iterable[str]) -> List[str]:
 def check_observer_contracts(targets: Iterable[str],
                              label: Optional[str] = None
                              ) -> ContractReport:
-    """Run C001-C005 over the Python sources in *targets*.
+    """Run the contract rules over the Python sources in *targets*.
 
     *targets* are ``.py`` files or directories (recursed).  Sources are
     parsed, never imported.  Classes that are not observer-like are
     skipped; classes with unresolvable non-framework bases skip the
-    MRO-dependent checks (C001-C003) but still get the shared-state
-    scan.
+    MRO-dependent checks (C001, C002, C005) but still get the
+    shared-state scan (C004).
     """
     files = iter_python_files(targets)
     report = ContractReport(label or ", ".join(targets))
@@ -642,8 +603,6 @@ def check_observer_contracts(targets: Iterable[str],
                 _check_stall_pairing(info, resolver))
             report.diagnostics.extend(
                 _check_cycle_run_pairing(info, resolver))
-            report.diagnostics.extend(
-                _check_shard_protocol(info, resolver))
         report.diagnostics.extend(_check_shared_state(
             info, resolver, sources.get(info.path, [])))
     report.diagnostics.sort(

@@ -163,33 +163,21 @@ class TraceSanitizer(TraceObserver):
     def on_finish(self, final_cycle: int) -> None:
         self._finished = True
 
-    # -- sharded replay (snapshot/merge protocol) ----------------------------------
-
-    def begin_shard(self, start_cycle: int, carry) -> None:
-        """Resume checking mid-stream from carried chunk state."""
-        self._last_cycle = start_cycle - 1 if start_cycle > 0 else None
-        self._drain_pending = carry.drain_pending
-
-    def shard_settled(self) -> bool:
-        return True
-
-    def resolve_only(self, record: CycleRecord) -> bool:
-        return True
+    # -- worker payloads -----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Picklable capture of this shard's checking results."""
+        """Picklable capture of this sanitizer's checking results."""
         return {
             "cycles_checked": self.cycles_checked,
             "commits_checked": self.commits_checked,
             "violations": list(self.violations),
         }
 
-    def absorb(self, snapshots) -> None:
-        """Fold ordered shard snapshots into this sanitizer."""
-        for snap in snapshots:
-            self.cycles_checked += snap["cycles_checked"]
-            self.commits_checked += snap["commits_checked"]
-            self.violations.extend(snap["violations"])
+    def restore_snapshot(self, snapshot: dict) -> None:
+        """Fill this (fresh) sanitizer from a :meth:`snapshot`."""
+        self.cycles_checked += snapshot["cycles_checked"]
+        self.commits_checked += snapshot["commits_checked"]
+        self.violations.extend(snapshot["violations"])
 
     # -- individual invariants -----------------------------------------------------
 

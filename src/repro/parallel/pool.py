@@ -1,7 +1,9 @@
 """Bounded process pool with per-job timeout, retry and degradation.
 
-The suite runner and the sharded trace replay both fan work out to
-worker processes.  This pool is deliberately small and defensive: each
+The parallel suite runner fans benchmarks out to worker processes
+through this pool, and the job server's
+:class:`~repro.serve.apool.AsyncPool` reuses its worker entry point
+and kill helper.  The pool is deliberately small and defensive: each
 job runs in its own :class:`multiprocessing.Process` with a pipe for
 the result, so a worker that raises, hangs past its timeout, or dies
 mid-job can never corrupt the results dict or hang the suite -- it is

@@ -34,13 +34,15 @@ def simulate_benchmark(name: str, scale: float,
                        max_cycles: int,
                        sanitize: bool,
                        sim: str = "step",
-                       cache_dir: Optional[str] = None) -> dict:
+                       cache_dir: Optional[str] = None,
+                       paranoid: bool = False) -> dict:
     """Worker entry: simulate one named suite benchmark.
 
     Rebuilds the workload from its name (Workload objects carry
     non-picklable semantic callables) and returns a picklable payload.
-    *sim* selects the simulation fast path and *cache_dir* (a plain
-    path, picklable) the content-addressed simulation cache.
+    *sim* and *paranoid* select the simulation fast path and its
+    cross-check; *cache_dir* (a plain path, picklable) the
+    content-addressed simulation cache.
     """
     from ..cpu.core import MaxCyclesExceeded
     from ..harness.runner import run_workload
@@ -49,7 +51,7 @@ def simulate_benchmark(name: str, scale: float,
     try:
         result = run_workload(workload, configs, max_cycles,
                               sanitize=sanitize, sim=sim,
-                              cache=cache_dir)
+                              paranoid=paranoid, cache=cache_dir)
     except TraceInvariantError as exc:
         return {"invariant_violation": exc.diagnostic}
     except MaxCyclesExceeded as exc:
@@ -83,12 +85,12 @@ def rebuild_result(workload: Workload,
     profilers = {}
     for config in configs:
         profiler = config.build(image)
-        profiler.restore_snapshots([payload["profilers"][config.name]])
+        profiler.restore_snapshot(payload["profilers"][config.name])
         profilers[config.name] = profiler
     sanitizer = None
     if payload["sanitizer"] is not None:
         sanitizer = TraceSanitizer(program=image)
-        sanitizer.absorb([payload["sanitizer"]])
+        sanitizer.restore_snapshot(payload["sanitizer"])
     result = ExperimentResult(image, payload["oracle"], profilers,
                               payload["stats"], sanitizer=sanitizer)
     result.cached = payload.get("cached", False)
@@ -105,14 +107,16 @@ def run_suite_parallel(workloads: Sequence[Workload],
                        retries: int = 1,
                        verbose: bool = False,
                        sim: str = "step",
+                       paranoid: bool = False,
                        cache_dir: Optional[str] = None):
     """Simulate *workloads* on up to *jobs* worker processes.
 
     Returns a :class:`~repro.harness.runner.SuiteResult`; benchmarks
     whose worker failed (after retries) appear in ``failures`` instead
     of ``results``.  *scale* must match the scale the workloads were
-    built with -- workers rebuild them by name.  *sim* and *cache_dir*
-    forward the simulation fast path and cache root to every worker;
+    built with -- workers rebuild them by name.  *sim*, *paranoid* and
+    *cache_dir* forward the simulation fast path, its cross-check and
+    the cache root to every worker;
     a benchmark that exhausts *max_cycles* lands in ``failures`` with
     kind ``"max-cycles"``.
     """
@@ -127,7 +131,7 @@ def run_suite_parallel(workloads: Sequence[Workload],
             pool_jobs.append(PoolJob(
                 name=workload.name, func=simulate_benchmark,
                 args=(workload.name, scale, configs, max_cycles,
-                      sanitize, sim, cache_dir),
+                      sanitize, sim, cache_dir, paranoid),
                 timeout=timeout))
         else:
             serial.append(workload)
@@ -159,7 +163,7 @@ def run_suite_parallel(workloads: Sequence[Workload],
         try:
             results[workload.name] = run_workload(
                 workload, configs, max_cycles, sanitize=sanitize,
-                sim=sim, cache=cache_dir)
+                sim=sim, paranoid=paranoid, cache=cache_dir)
         except MaxCyclesExceeded as exc:
             failures[workload.name] = JobFailure(
                 workload.name, "max-cycles", 1, str(exc))

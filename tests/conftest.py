@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import os
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -11,6 +14,12 @@ from repro.cpu.machine import Machine
 from repro.cpu.trace import (CommittedInst, CycleRecord, HeadEntry,
                              TraceCollector)
 from repro.isa.assembler import assemble
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+#: The seven sampling policies of the paper's comparison.
+SEVEN_POLICIES = ("Software", "Dispatch", "LCI", "NCI", "NCI+ILP",
+                  "TIP-ILP", "TIP")
 
 
 def make_record(cycle: int,
@@ -78,3 +87,27 @@ loop:
 @pytest.fixture
 def count_loop_source():
     return COUNT_LOOP
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """The checked-in golden trace (``tests/data/make_golden.py``).
+
+    ``trace`` is the v2 recording of ``golden.s``, ``expected`` the
+    per-profiler checksums and profiles of its replay, ``image`` the
+    booted program and ``configs`` the seven profilers that produced
+    ``expected``.
+    """
+    from repro.harness import ProfilerConfig
+    from repro.kernel import Kernel
+    with open(os.path.join(DATA, "golden.tiptrace"), "rb") as handle:
+        trace = handle.read()
+    with open(os.path.join(DATA, "golden_expected.json")) as handle:
+        expected = json.load(handle)
+    with open(os.path.join(DATA, "golden.s")) as handle:
+        image = Kernel().boot(assemble(handle.read(), name="golden.s"))
+    configs = tuple(ProfilerConfig(policy, expected["period"],
+                                   expected["mode"], expected["seed"])
+                    for policy in SEVEN_POLICIES)
+    return SimpleNamespace(trace=trace, expected=expected, image=image,
+                           configs=configs)

@@ -1,4 +1,4 @@
-"""Regenerate the golden parallel-replay trace and expected profiles.
+"""Regenerate the golden replay trace and expected profiles.
 
 Run from the repository root::
 
@@ -6,11 +6,12 @@ Run from the repository root::
 
 Produces ``golden.tiptrace`` (a chunk-indexed v2 commit trace of
 ``golden.s``) and ``golden_expected.json`` (per-profiler sample
-checksums and instruction-level profiles from a *serial* replay).  The
-differential test asserts that serial and sharded replays of the
-checked-in trace reproduce these values exactly, so regenerating the
-files is only legitimate after an intentional change to the trace
-format, the golden program, or a profiler's attribution policy.
+checksums and instruction-level profiles from a replay).  The
+differential test asserts that every replay of the checked-in trace
+(both engines, v2 and v3 encodings, every source kind) reproduces these
+values exactly, so regenerating the files is only legitimate after an
+intentional change to the trace format, the golden program, or a
+profiler's attribution policy.
 """
 
 import io
@@ -20,10 +21,9 @@ import os
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.machine import Machine
 from repro.cpu.tracefile import TraceWriterV2
-from repro.harness.experiment import ProfilerConfig
+from repro.harness.experiment import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
-from repro.parallel.shard import replay_serial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -57,13 +57,13 @@ def main():
         out.write(trace)
 
     image = Kernel().boot(program)
-    outcome = replay_serial(trace, image, golden_configs())
+    outcome = replay_experiment(trace, image, golden_configs())
     expected = {
         "period": PERIOD,
         "mode": MODE,
         "seed": SEED,
         "chunk_cycles": CHUNK_CYCLES,
-        "cycles": outcome.cycles,
+        "cycles": outcome.oracle.total_cycles,
         "committed": stats.committed,
         "profilers": {},
         "oracle_profile": {hex(addr): weight for addr, weight
@@ -79,7 +79,8 @@ def main():
     with open(os.path.join(HERE, "golden_expected.json"), "w") as out:
         json.dump(expected, out, indent=2, sort_keys=True)
         out.write("\n")
-    print(f"golden trace: {len(trace)} bytes, {outcome.cycles} cycles, "
+    print(f"golden trace: {len(trace)} bytes, "
+          f"{outcome.oracle.total_cycles} cycles, "
           f"{stats.committed} instructions")
 
 

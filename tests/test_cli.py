@@ -1,7 +1,11 @@
 """CLI tests."""
 
+import argparse
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -295,7 +299,7 @@ loop:
     assert "sanitizer:" in out and "clean" in out
 
 
-def test_record_replay_sharded_and_convert(tmp_path, capsys):
+def test_record_replay_and_convert(tmp_path, capsys):
     source = tmp_path / "prog.s"
     source.write_text("""
 .func main
@@ -314,22 +318,28 @@ loop:
     out = capsys.readouterr().out
     assert "[v2]" in out
 
-    assert main(["replay", str(v2), str(source), "--jobs", "2",
+    assert main(["replay", str(v2), str(source),
                  "--period", "11", "--sanitize"]) == 0
     out = capsys.readouterr().out
-    assert "sharded, 2 shard(s)" in out
+    assert "(block engine)" in out
     assert "clean" in out
 
-    # v3 is the default record format and shards the same way.
+    # Replay is serial: there is no --jobs to shard it.
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", str(v2), str(source), "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    # v3 is the default record format.
     v3 = tmp_path / "run3.tiptrace"
     assert main(["record", str(source), "-o", str(v3),
                  "--chunk-cycles", "128"]) == 0
     out = capsys.readouterr().out
     assert "[v3]" in out
-    assert main(["replay", str(v3), str(source), "--jobs", "2",
+    assert main(["replay", str(v3), str(source), "--engine", "cycle",
                  "--period", "11", "--sanitize"]) == 0
     out = capsys.readouterr().out
-    assert "sharded, 2 shard(s)" in out
+    assert "(cycle engine)" in out
     assert "clean" in out
 
     v1 = tmp_path / "run1.tiptrace"
@@ -341,10 +351,10 @@ loop:
                  "--chunk-cycles", "64"]) == 0
     out = capsys.readouterr().out
     assert "converted" in out and "[v3]" in out
-    assert main(["replay", str(converted), str(source), "--jobs", "3",
+    assert main(["replay", str(converted), str(source),
                  "--period", "11"]) == 0
     out = capsys.readouterr().out
-    assert "sharded, 3 shard(s)" in out
+    assert "(block engine)" in out
 
     # Downgrade path: v3 -> v2 keeps every record.
     down = tmp_path / "down.tiptrace"
@@ -359,6 +369,8 @@ loop:
 
 
 def test_replay_v1_trace_falls_back_serially(tmp_path, capsys):
+    """v1 traces have no chunk directory: a block-engine replay falls
+    back to per-record consumption and says so."""
     source = tmp_path / "prog.s"
     source.write_text("""
 .func main
@@ -373,10 +385,10 @@ loop:
     assert main(["record", str(source), "-o", str(trace),
                  "--format", "v1"]) == 0
     capsys.readouterr()
-    assert main(["replay", str(trace), str(source), "--jobs", "4",
+    assert main(["replay", str(trace), str(source),
                  "--period", "7"]) == 0
     out = capsys.readouterr().out
-    assert "serial" in out and "fallback" in out
+    assert "(cycle engine)" in out
 
 
 def test_suite_parallel_jobs(capsys):
@@ -387,16 +399,72 @@ def test_suite_parallel_jobs(capsys):
     assert "sanitizer:" in out and "clean" in out
 
 
-def test_bench_command(tmp_path, capsys):
-    output = tmp_path / "BENCH_pipeline.json"
-    assert main(["bench", "exchange2", "--scale", "0.05",
-                 "--jobs", "2", "--chunk-cycles", "256",
-                 "-o", str(output)]) == 0
-    out = capsys.readouterr().out
-    assert "checksums: OK" in out
-    import json
-    data = json.loads(output.read_text())
-    assert data["checksums_equal"] is True
-    assert "exchange2" in data["benchmarks"]
-    assert data["benchmarks"]["exchange2"]["replay_mode"] == "sharded"
-    assert data["suite_serial_s"] > 0 and data["suite_parallel_s"] > 0
+def test_bench_command(capsys):
+    """``bench`` has two modes; with neither it names both."""
+    assert main(["bench"]) == 2
+    err = capsys.readouterr().err
+    assert "--sim" in err and "--trace" in err
+    for gone in (["-o", "x.json"], ["--scale", "0.1"], ["--jobs", "2"],
+                 ["--chunk-cycles", "64"], ["--compress"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sim"] + gone)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+# -- the module docstring is the CLI's manual; keep it honest --------------------
+
+
+_LITERAL = re.compile(r"``([^`]+)``")
+_FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _docstring_claims(commands):
+    """command -> ``--flags`` the module docstring attributes to it.
+
+    Entries under "Commands" attribute every flag in their header and
+    description to the header's command; in the closing paragraphs a
+    sentence attributes its flags to every command it names.
+    """
+    _, _, body = cli.__doc__.partition("--------\n")
+    entries, _, closing = body.partition("\n\n")
+    claims = {}
+    for entry in re.split(r"\n(?=``)", entries):
+        command = _LITERAL.match(entry).group(1).split()[0]
+        claims.setdefault(command, set()).update(_FLAG.findall(entry))
+    for sentence in re.split(r"\.\s+", " ".join(closing.split())):
+        named = [literal.split()[0]
+                 for literal in _LITERAL.findall(sentence)]
+        for command in named:
+            if command in commands:
+                claims.setdefault(command, set()).update(
+                    _FLAG.findall(sentence))
+    return claims
+
+
+def test_docstring_matches_parser():
+    commands = _subcommands()
+    doc = cli.__doc__
+    for command in commands:
+        assert f"``{command}" in doc, f"{command} is undocumented"
+
+    claims = _docstring_claims(commands)
+    assert "--engine" in claims["replay"]  # the parse found something
+    assert "--jobs" in claims["suite"]
+    for command, flags in claims.items():
+        assert command in commands, f"docstring names {command}"
+        known = {option for action in commands[command]._actions
+                 for option in action.option_strings}
+        assert flags <= known, \
+            f"{command}: docstring mentions {sorted(flags - known)}"
+
+    record_entry = re.search(r"``record [^`]*``\n((?:    .*\n)+)", doc)
+    stated = re.search(r"\b(v\d) by default",
+                       " ".join(record_entry.group(1).split()))
+    assert stated.group(1) == commands["record"].get_default("format")

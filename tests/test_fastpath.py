@@ -4,8 +4,9 @@ The columnar engine is only a valid optimisation if every observer
 produces exactly the same samples, profiles and reports as the classic
 record-at-a-time replay.  These tests check that equivalence three
 ways: on hypothesis-generated random traces (all profilers), on the
-checked-in golden trace (serial and sharded), and for the
-simulation-side :class:`~repro.fastpath.BlockAssembler`.
+checked-in golden trace (both engines, v2 and v3 encodings, every
+source kind), and for the simulation-side
+:class:`~repro.fastpath.BlockAssembler`.
 """
 
 import io
@@ -15,26 +16,20 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_record
+from conftest import SEVEN_POLICIES, make_record
 from repro.analysis.profiles import profile_checksum
 from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.cpu.machine import Machine
 from repro.cpu.tracefile import (TraceReaderV2, TraceWriterV2,
-                                 replay_trace)
+                                 convert_trace, replay_trace)
 from repro.fastpath import (BlockAssembler, CycleBlock, decode_block,
                             replay_blocks, replay_with_engine,
                             run_hotpath_bench, validate_engine)
 from repro.harness import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
-from repro.parallel import ProgramSpec, replay_sharded
-
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-
-SEVEN_POLICIES = ("Software", "Dispatch", "LCI", "NCI", "NCI+ILP",
-                  "TIP-ILP", "TIP")
 
 TINY = """
 .func main
@@ -146,26 +141,48 @@ def test_property_block_round_trip(records):
              for c in original.committed]
 
 
-# -- golden trace: block engine, serial and sharded ------------------------------
+# -- golden trace: every engine, encoding and source kind ------------------------
 
 
 @pytest.fixture(scope="module")
-def golden():
-    with open(os.path.join(DATA, "golden.tiptrace"), "rb") as handle:
-        trace = handle.read()
-    with open(os.path.join(DATA, "golden_expected.json")) as handle:
-        expected = json.load(handle)
-    with open(os.path.join(DATA, "golden.s")) as handle:
-        source = handle.read()
-    image = Kernel().boot(assemble(source, name="golden.s"))
-    spec = ProgramSpec(kind="asm", source=source, name="golden.s")
-    configs = tuple(ProfilerConfig(policy, expected["period"],
-                                   expected["mode"], expected["seed"])
-                    for policy in SEVEN_POLICIES)
-    return trace, expected, image, spec, configs
+def golden_paths(golden, tmp_path_factory):
+    """The golden v2 trace and its v3 conversion, as files."""
+    root = tmp_path_factory.mktemp("golden")
+    v2 = root / "golden_v2.tiptrace"
+    v2.write_bytes(golden.trace)
+    v3 = root / "golden_v3.tiptrace"
+    convert_trace(golden.trace, str(v3), version=3)
+    return {"v2": str(v2), "v3": str(v3)}
 
 
-def _check_against_golden(result, expected):
+def _open_fds():
+    return sorted(int(name) for name in os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("source", ["bytes", "stream", "path"])
+@pytest.mark.parametrize("encoding", ["v2", "v3"])
+@pytest.mark.parametrize("engine", ["cycle", "block"])
+def test_golden_replay(golden, golden_paths, engine, encoding, source):
+    """Replaying the golden trace reproduces ``golden_expected.json``
+    exactly -- samples, profiles and the Oracle profile -- whichever
+    engine, encoding (the checked-in v2 or its v3 conversion) and
+    source (bytes, a binary stream, or a path the reader mmaps)."""
+    path = golden_paths[encoding]
+    with open(path, "rb") as handle:
+        data = handle.read()
+
+    def replay():
+        trace = {"bytes": data, "stream": io.BytesIO(data),
+                 "path": path}[source]
+        return replay_experiment(trace, golden.image, golden.configs,
+                                 engine=engine)
+
+    result = replay()
+    expected = golden.expected
+    assert result.engine == engine
+    assert result.stats is None
+    assert result.oracle.total_cycles == expected["cycles"]
+    assert set(result.profilers) == set(expected["profilers"])
     for name, want in expected["profilers"].items():
         profiler = result.profilers[name]
         assert len(profiler.samples) == want["samples"], name
@@ -174,39 +191,17 @@ def _check_against_golden(result, expected):
         profile = {hex(addr): weight
                    for addr, weight in profiler.profile().items()}
         assert profile == want["profile"], name
-
-
-def test_golden_block_engine_serial(golden):
-    trace, expected, image, _spec, configs = golden
-    result = replay_experiment(io.BytesIO(trace), image, configs,
-                               engine="block")
-    assert result.replay.cycles == expected["cycles"]
-    assert result.replay.engine == "block"
-    _check_against_golden(result, expected)
     oracle = {hex(addr): weight
               for addr, weight in result.oracle.profile.items()}
     assert oracle == expected["oracle_profile"]
 
-
-@pytest.mark.parametrize("jobs", [2, 7])
-def test_golden_block_engine_sharded(golden, jobs):
-    trace, expected, image, spec, configs = golden
-    outcome = replay_sharded(io.BytesIO(trace), spec, configs, jobs,
-                             image=image, engine="block")
-    assert outcome.mode == "sharded"
-    assert outcome.cycles == expected["cycles"]
-    for name, want in expected["profilers"].items():
-        profiler = outcome.profilers[name]
-        assert profile_checksum(profiler.samples) == \
-            want["checksum"], name
-
-
-def test_golden_cycle_engine_still_available(golden):
-    trace, expected, image, _spec, configs = golden
-    result = replay_experiment(io.BytesIO(trace), image, configs,
-                               engine="cycle")
-    assert result.replay.engine == "cycle"
-    _check_against_golden(result, expected)
+    if source == "path" and os.path.isdir("/proc/self/fd"):
+        # Readers open (and mmap) a path once and close it: repeated
+        # replays leave the fd table exactly as they found it.
+        before = _open_fds()
+        for _ in range(3):
+            replay()
+        assert _open_fds() == before
 
 
 # -- engine selection and fallback ----------------------------------------------
@@ -283,9 +278,9 @@ def test_from_records_round_trip():
 
 
 def test_hotpath_bench_quick(golden, tmp_path):
-    trace, expected, image, _spec, _configs = golden
+    expected = golden.expected
     output = str(tmp_path / "BENCH_hotpath.json")
-    result = run_hotpath_bench(trace, image, output=output,
+    result = run_hotpath_bench(golden.trace, golden.image, output=output,
                                period=expected["period"],
                                mode=expected["mode"],
                                seed=expected["seed"],

@@ -1,201 +1,31 @@
-"""Parallel subsystem tests: pool, sharded replay, parallel suite.
+"""Parallel subsystem tests: the process pool and the parallel suite.
 
-The centerpiece is the golden-trace differential harness: a small
-recorded v2 trace plus expected per-instruction profiles for all seven
-sampling profilers are checked in under ``tests/data/``, and serial,
-2-shard and 7-shard replays must all reproduce them bit-for-bit.
+Trace replay is serial; its golden-trace differential lives in
+``test_fastpath.py``.
 """
 
-import io
-import json
-import os
 import time
 
 import pytest
 
 from repro.analysis.profiles import profile_checksum
-from repro.cpu.machine import Machine
-from repro.cpu.tracefile import (TraceWriter, TraceWriterV2, read_index,
-                                 replay_trace)
-from repro.harness import (ProfilerConfig, default_profilers,
-                           replay_experiment, run_suite)
-from repro.isa import assemble
-from repro.kernel import Kernel
-from repro.parallel import (INJECT_KINDS, PoolJob, ProgramSpec,
-                            plan_shards, replay_serial, replay_sharded,
-                            run_jobs)
+from repro.harness import default_profilers, replay_experiment, run_suite
+from repro.parallel import INJECT_KINDS, PoolJob, run_jobs
 from repro.workloads.suite import build_suite
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
-SEVEN_POLICIES = ("Software", "Dispatch", "LCI", "NCI", "NCI+ILP",
-                  "TIP-ILP", "TIP")
-
-
-# -- golden-trace differential harness ------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def golden():
-    with open(os.path.join(DATA, "golden.tiptrace"), "rb") as handle:
-        trace = handle.read()
-    with open(os.path.join(DATA, "golden_expected.json")) as handle:
-        expected = json.load(handle)
-    with open(os.path.join(DATA, "golden.s")) as handle:
-        source = handle.read()
-    image = Kernel().boot(assemble(source, name="golden.s"))
-    spec = ProgramSpec(kind="asm", source=source, name="golden.s")
-    configs = tuple(ProfilerConfig(policy, expected["period"],
-                                   expected["mode"], expected["seed"])
-                    for policy in SEVEN_POLICIES)
-    return trace, expected, image, spec, configs
-
-
-def _check_against_golden(outcome, expected):
-    assert outcome.cycles == expected["cycles"]
-    assert set(outcome.profilers) == set(expected["profilers"])
-    for name, want in expected["profilers"].items():
-        profiler = outcome.profilers[name]
-        assert len(profiler.samples) == want["samples"], name
-        assert profile_checksum(profiler.samples) == want["checksum"], \
-            f"{name}: sample stream diverged from golden trace"
-        profile = {hex(addr): weight
-                   for addr, weight in profiler.profile().items()}
-        assert profile == want["profile"], name
-
-
-def test_serial_replay_matches_golden(golden):
-    trace, expected, image, _spec, configs = golden
-    outcome = replay_serial(trace, image, configs)
-    _check_against_golden(outcome, expected)
-    oracle = {hex(addr): weight
-              for addr, weight in outcome.oracle.profile.items()}
-    assert oracle == expected["oracle_profile"]
-
-
-@pytest.mark.parametrize("jobs", [2, 7])
-def test_sharded_replay_matches_golden(golden, jobs):
-    trace, expected, image, spec, configs = golden
-    outcome = replay_sharded(trace, spec, configs, jobs=jobs,
-                             image=image)
-    assert outcome.mode == "sharded"
-    assert outcome.shards == jobs
-    assert outcome.fallback_reason is None
-    _check_against_golden(outcome, expected)
-    # Oracle merges shard subtotals: equal up to FP summation order.
-    for key, want in expected["oracle_profile"].items():
-        assert outcome.oracle.profile[int(key, 16)] == \
-            pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_sharded_replay_merges_oracle_intervals(golden):
-    trace, expected, image, spec, configs = golden
-    serial = replay_serial(trace, image, configs,
-                           watch_keys=((expected["period"],
-                                        expected["mode"],
-                                        expected["seed"]),))
-    sharded = replay_sharded(trace, spec, configs, jobs=3, image=image,
-                             watch_keys=((expected["period"],
-                                          expected["mode"],
-                                          expected["seed"]),))
-    key = (expected["period"], expected["mode"], expected["seed"])
-    assert set(serial.oracle.intervals[key]) == \
-        set(sharded.oracle.intervals[key])
-    for cycle, weights in serial.oracle.intervals[key].items():
-        merged = sharded.oracle.intervals[key][cycle]
-        assert set(merged) == set(weights)
-        for addr, weight in weights.items():
-            assert merged[addr] == pytest.approx(weight, rel=1e-12)
-
-
-# -- fallback paths --------------------------------------------------------------
-
-
-def test_v1_trace_falls_back_to_serial(golden):
-    _trace, expected, image, spec, configs = golden
-    program = image  # already booted; simulate a fresh v1 recording
-    machine = Machine(assemble(open(os.path.join(DATA, "golden.s"))
-                               .read(), name="golden.s"))
-    buffer = io.BytesIO()
-    machine.attach(TraceWriter(buffer, machine.config.rob_banks))
-    machine.run()
-    outcome = replay_sharded(buffer.getvalue(), spec, configs, jobs=2,
-                             image=program)
-    assert outcome.mode == "serial"
-    assert "v1" in outcome.fallback_reason
-    assert outcome.cycles == expected["cycles"]
-
-
-def test_software_skid_falls_back_to_serial(golden):
-    trace, _expected, image, spec, _configs = golden
-    skidding = (ProfilerConfig("Software", 23, label="soft-skid"),)
-    from repro.core.baselines import SoftwareProfiler
-    from repro.core.sampling import SampleSchedule
-    assert not SoftwareProfiler(SampleSchedule(23), skid_cycles=5) \
-        .shardable
-    # Patch in a skidding Software profiler via a custom config list:
-    # the stock ProfilerConfig cannot express skid, so check the probe
-    # path with a fake config object instead.
-
-    class SkidConfig:
-        name = "soft-skid"
-
-        @staticmethod
-        def build(program):
-            return SoftwareProfiler(SampleSchedule(23), skid_cycles=5)
-
-    outcome = replay_sharded(trace, spec, (SkidConfig(),), jobs=2,
-                             image=image)
-    assert outcome.mode == "serial"
-    assert "non-shardable" in outcome.fallback_reason
-    assert skidding[0].name in outcome.fallback_reason
-
-
-def test_single_job_falls_back_to_serial(golden):
-    trace, expected, image, spec, configs = golden
-    outcome = replay_sharded(trace, spec, configs, jobs=1, image=image)
-    assert outcome.mode == "serial"
-    assert outcome.fallback_reason == "jobs <= 1"
-    _check_against_golden(outcome, expected)
-
-
-# -- shard planning --------------------------------------------------------------
-
-
-def test_plan_shards_covers_all_chunks(golden):
-    trace, _expected, _image, _spec, _configs = golden
-    index = read_index(trace)
-    for jobs in range(1, len(index.chunks) + 3):
-        bounds = plan_shards(index, jobs)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == len(index.chunks)
-        for (lo_a, hi_a), (lo_b, _hi_b) in zip(bounds, bounds[1:]):
-            assert hi_a == lo_b  # contiguous
-            assert lo_a < hi_a  # non-empty
-        assert len(bounds) == min(jobs, len(index.chunks))
-
-
-# -- sanitizer: attached once per trace, sharded absorb --------------------------
+# -- sanitizer: attached once per trace ------------------------------------------
 
 
 def test_sanitizer_attached_once_per_replay(golden):
     """Regression: one replay pass drives all profilers AND the
     sanitizer, so its counters equal the trace length -- attaching it
     per profiler pass would multiply them by the profiler count."""
-    trace, expected, image, _spec, configs = golden
-    result = replay_experiment(trace, image, configs, sanitize=True)
-    assert len(result.profilers) == len(SEVEN_POLICIES)
+    expected = golden.expected
+    result = replay_experiment(golden.trace, golden.image, golden.configs,
+                               sanitize=True)
+    assert len(result.profilers) == len(golden.configs)
     assert result.sanitizer is not None
-    assert result.sanitizer.cycles_checked == expected["cycles"]
-    assert result.sanitizer.commits_checked == expected["committed"]
-    assert result.sanitizer.ok
-
-
-def test_sanitizer_sharded_counts_match_serial(golden):
-    trace, expected, image, spec, configs = golden
-    result = replay_experiment(trace, image, configs, sanitize=True,
-                               jobs=3, spec=spec)
-    assert result.replay.mode == "sharded"
     assert result.sanitizer.cycles_checked == expected["cycles"]
     assert result.sanitizer.commits_checked == expected["committed"]
     assert result.sanitizer.ok
@@ -276,25 +106,6 @@ def test_pool_many_jobs_few_workers():
     assert report.results == {f"j{i}": i for i in range(6)}
 
 
-def test_worker_failure_falls_back_to_serial_replay(golden, monkeypatch):
-    """If every shard worker fails, the replay degrades to serial and
-    still produces golden results."""
-    trace, expected, image, spec, configs = golden
-    import repro.parallel.shard as shard_mod
-    from repro.parallel.pool import JobFailure, PoolReport
-
-    def all_fail(jobs, workers, retries=1, **kwargs):
-        return PoolReport(failures={
-            job.name: JobFailure(job.name, "crash", retries + 1, "boom")
-            for job in jobs})
-
-    monkeypatch.setattr(shard_mod, "run_jobs", all_fail)
-    outcome = replay_sharded(trace, spec, configs, jobs=2, image=image)
-    assert outcome.mode == "serial"
-    assert "worker failure" in outcome.fallback_reason
-    _check_against_golden(outcome, expected)
-
-
 # -- parallel suite ---------------------------------------------------------------
 
 
@@ -318,6 +129,27 @@ def test_parallel_suite_matches_serial():
         assert parallel.results[name].sanitizer.ok
 
 
+def test_parallel_suite_forwards_paranoid(monkeypatch):
+    """``--jobs N --paranoid`` cross-checks fast-forwarded regions in
+    every worker, not only in serial runs.  Forked workers inherit the
+    spy, which fails the job when ``paranoid`` did not reach it."""
+    import repro.harness.runner as runner_mod
+    real = runner_mod.run_workload
+
+    def spy(*args, **kwargs):
+        if not kwargs.get("paranoid"):
+            raise AssertionError("worker simulated without paranoid")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_workload", spy)
+    scale = 0.05
+    result = run_suite(build_suite(["exchange2", "lbm"], scale=scale),
+                       profilers=default_profilers(29), scale=scale,
+                       jobs=2, retries=0, sim="fast", paranoid=True)
+    assert result.ok, result.failures
+    assert set(result.results) == {"exchange2", "lbm"}
+
+
 def test_parallel_suite_reports_worker_failure(monkeypatch):
     scale = 0.05
     workloads = build_suite(["exchange2"], scale=scale)
@@ -336,50 +168,3 @@ def test_parallel_suite_reports_worker_failure(monkeypatch):
     assert not result.ok
     assert set(result.failures) == {"exchange2"}
     assert "exchange2" not in result.results
-
-
-# -- replay drives everything identically through the CLI-facing API -------------
-
-
-def test_replay_experiment_errors_identical_serial_vs_sharded(golden):
-    trace, _expected, image, spec, configs = golden
-    serial = replay_experiment(trace, image, configs)
-    sharded = replay_experiment(trace, image, configs, jobs=4,
-                                spec=spec)
-    assert sharded.replay.mode == "sharded"
-    assert serial.stats is None and sharded.stats is None
-    for name, error in serial.errors().items():
-        assert sharded.errors()[name] == pytest.approx(error, abs=1e-12)
-
-
-# -- fd hygiene: path traces are opened once per reader and closed ---------------
-
-
-def _open_fds():
-    return sorted(int(name) for name in os.listdir("/proc/self/fd"))
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="needs procfs")
-def test_path_replay_does_not_leak_fds(golden, tmp_path):
-    """Regression: replaying a trace from a path used to re-open the
-    stream on every chunk rescan.  Readers now open (and mmap) the
-    file once, so repeated serial and sharded replays leave the parent
-    process fd table exactly as they found it."""
-    from repro.cpu.tracefile import convert_trace
-
-    trace, expected, image, spec, configs = golden
-    path = str(tmp_path / "golden_v3.tiptrace")
-    convert_trace(trace, path, version=3)
-    # Warm-up covers lazy imports and pool machinery so the snapshot
-    # below only sees replay-owned descriptors.
-    replay_serial(path, image, configs)
-    replay_sharded(path, spec, configs, jobs=2, image=image)
-    before = _open_fds()
-    for _ in range(3):
-        outcome = replay_serial(path, image, configs)
-        _check_against_golden(outcome, expected)
-    outcome = replay_sharded(path, spec, configs, jobs=2, image=image)
-    assert outcome.mode == "sharded"
-    _check_against_golden(outcome, expected)
-    assert _open_fds() == before

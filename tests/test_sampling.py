@@ -72,42 +72,3 @@ def test_is_sample_ignores_skipped_cycles():
     # Jump straight past several sample points; the schedule must advance.
     assert not schedule.is_sample(20)
     assert schedule.is_sample(24)
-
-
-# -- fast_forward: deterministic mid-stream resumption ---------------------------
-
-from hypothesis import given, settings, strategies as st
-
-
-@given(period=st.integers(1, 50),
-       mode=st.sampled_from(["periodic", "random"]),
-       seed=st.integers(0, 1000),
-       start=st.integers(0, 400),
-       horizon=st.integers(1, 200))
-@settings(max_examples=60, deadline=None)
-def test_fast_forward_equals_serial_consumption(period, mode, seed,
-                                                start, horizon):
-    """fast_forward(start) leaves a schedule in exactly the state a
-    cycle-by-cycle is_sample() walk over [0, start) produces -- the
-    property sharded replay relies on for bit-identical sampling."""
-    walked = SampleSchedule(period, mode, seed)
-    prev = -1
-    for cycle in range(start):
-        if walked.is_sample(cycle):
-            prev = cycle
-    jumped = SampleSchedule(period, mode, seed)
-    assert jumped.fast_forward(start) == prev
-    assert jumped.next_sample == walked.next_sample
-    # Identical future: same sample cycles (and same RNG stream).
-    future_walked = [c for c in range(start, start + horizon)
-                     if walked.is_sample(c)]
-    future_jumped = [c for c in range(start, start + horizon)
-                     if jumped.is_sample(c)]
-    assert future_walked == future_jumped
-
-
-def test_fast_forward_zero_is_identity():
-    schedule = SampleSchedule(13, "random", seed=3)
-    reference = SampleSchedule(13, "random", seed=3)
-    assert schedule.fast_forward(0) == -1
-    assert schedule.next_sample == reference.next_sample
