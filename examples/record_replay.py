@@ -2,7 +2,8 @@
 """Record once, analyze forever (the FireSim methodology).
 
 Simulates a workload a single time while serializing its commit-stage
-trace to a compact binary file, then replays that file through fresh
+trace in the columnar trace format (here into memory; pass a path to
+``TraceWriter`` to write a file), then replays it through fresh
 profiler configurations -- different policies, sampling periods, and
 modes -- without ever re-simulating.  This is exactly how the paper
 evaluates 19 profiler configurations per FPGA run.

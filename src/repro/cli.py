@@ -13,23 +13,18 @@ Commands
 ``overhead``
     Print the Section 3.2 overhead summary.
 ``record FILE.s -o trace.bin``
-    Simulate once and serialize the commit-stage trace (columnar v3 by
-    default; ``--format v2`` for row-encoded chunks, ``--format v1``
-    for the legacy flat stream).
+    Simulate once and serialize the commit-stage trace (the columnar
+    format that replays zero-copy via mmap).
 ``replay trace.bin FILE.s``
-    Re-profile a recorded trace (v1, v2 or v3) without re-simulating;
-    ``--engine`` picks columnar-block or per-record consumption
-    (bit-identical results).
-``convert-trace trace.bin -o trace2.bin``
-    Re-encode a trace in another format version, in any direction
-    (``--to v3`` by default).
-``bench --trace trace.bin --program FILE.s``
-    Time the cycle-vs-block replay engines on a recorded trace and
-    write ``BENCH_hotpath.json`` (``--quick`` for CI smoke runs).
+    Re-profile a recorded trace without re-simulating; ``--engine``
+    picks columnar-block or per-record consumption (bit-identical
+    results).  A file that is not a readable trace, including one in
+    the retired v1/v2 formats, exits 2 naming the reason.
 ``bench --sim``
     Time single-stepping vs the event-driven fast path vs a warm
-    simulation-cache hit and write ``BENCH_sim.json``; fails if any
-    path is not bit-identical to single-stepping.
+    simulation-cache hit and write ``BENCH_sim.json`` (``--quick`` for
+    CI smoke runs); fails if any path is not bit-identical to
+    single-stepping.
 ``cache stats|clear|verify``
     Inspect, empty or checksum-verify the simulation cache
     (``~/.cache/repro`` or ``--cache-dir``/``$REPRO_CACHE_DIR``).
@@ -81,7 +76,6 @@ from .analysis import (Granularity, render_error_table,
                        render_profile_table, render_stacks_table)
 from .core.overhead import summarize
 from .cpu.core import MaxCyclesExceeded
-from .cpu.tracefile import DEFAULT_CHUNK_CYCLES
 from .cpu.config import CoreConfig
 from .harness import default_profilers, run_experiment, run_suite, \
     run_workload
@@ -243,7 +237,7 @@ def cmd_imagick(args) -> int:
 
 
 def cmd_record(args) -> int:
-    from .cpu import Machine, TraceWriter, TraceWriterV2, TraceWriterV3
+    from .cpu import Machine, TraceWriter
     with open(args.file) as handle:
         program = assemble(handle.read(), name=args.file)
     premapped = [(0, 1 << 28)] if args.map_all else None
@@ -253,27 +247,17 @@ def cmd_record(args) -> int:
         from .lint import TraceSanitizer
         sanitizer = TraceSanitizer.for_machine(machine)
         machine.attach(sanitizer)
-    if args.format == "v1":
-        with open(args.output, "wb") as out:
-            machine.attach(TraceWriter(out, machine.config.rob_banks))
-            stats = machine.run(sim=args.sim, paranoid=args.paranoid)
-    else:
-        # Path mode: the chunked writers are atomic -- a killed run
-        # never leaves a truncated trace at the destination.
-        writer_cls = TraceWriterV2 if args.format == "v2" \
-            else TraceWriterV3
-        writer = writer_cls(args.output, machine.config.rob_banks,
-                            chunk_cycles=args.chunk_cycles,
-                            compress=args.compress)
-        machine.attach(writer)
-        try:
-            stats = machine.run(sim=args.sim, paranoid=args.paranoid)
-        except BaseException:
-            writer.abort()
-            raise
+    # Path mode is atomic: a killed run never leaves a truncated trace
+    # at the destination.
+    writer = TraceWriter(args.output, machine.config.rob_banks)
+    machine.attach(writer)
+    try:
+        stats = machine.run(sim=args.sim, paranoid=args.paranoid)
+    except BaseException:
+        writer.abort()
+        raise
     print(f"recorded {stats.cycles} cycles "
-          f"({stats.committed} instructions) to {args.output} "
-          f"[{args.format}]")
+          f"({stats.committed} instructions) to {args.output}")
     if sanitizer is not None:
         print(sanitizer.summary())
     return 0
@@ -281,8 +265,15 @@ def cmd_record(args) -> int:
 
 def cmd_replay(args) -> int:
     from .analysis import profile_error
+    from .cpu import TraceReader
     from .harness import ProfilerConfig, replay_experiment
     from .kernel import Kernel
+    try:
+        TraceReader(args.trace).close()
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"repro replay: {args.trace}: {reason}", file=sys.stderr)
+        return 2
     with open(args.program) as handle:
         program = assemble(handle.read(), name=args.program)
     image = Kernel().boot(program)
@@ -295,36 +286,17 @@ def cmd_replay(args) -> int:
     error = profile_error(profiler, result.oracle, result.symbolizer,
                           granularity)
     print(f"replayed {result.oracle.total_cycles} cycles, "
-          f"{len(profiler.samples)} samples ({result.engine} engine)")
+          f"{len(profiler.samples)} samples ({args.engine} engine)")
     print(f"{args.policy} {granularity.value}-level error: {error:.2%}")
     if result.sanitizer is not None:
         print(result.sanitizer.summary())
     return 0
 
 
-def cmd_convert_trace(args) -> int:
-    from .cpu import convert_trace
-    version = int(args.to[1:])
-    records = convert_trace(args.trace, args.output, version=version,
-                            chunk_cycles=args.chunk_cycles,
-                            compress=args.compress)
-    print(f"converted {records} records to {args.output} [{args.to}]")
-    return 0
-
-
 def cmd_bench(args) -> int:
-    if args.sim:
-        return _cmd_bench_sim(args)
-    if args.trace:
-        if not args.program:
-            print("--trace requires --program", file=sys.stderr)
-            return 2
-        return _cmd_bench_hotpath(args)
-    print("bench needs --sim or --trace", file=sys.stderr)
-    return 2
-
-
-def _cmd_bench_sim(args) -> int:
+    if not args.sim:
+        print("bench needs --sim", file=sys.stderr)
+        return 2
     from .simfast import render_sim_bench, run_sim_bench
     from .simfast.bench import SIM_BENCHMARKS
     benchmarks = args.benchmarks or list(SIM_BENCHMARKS)
@@ -356,22 +328,6 @@ def cmd_cache(args) -> int:
         print(f"BAD {key}" + (" (removed)" if args.remove else ""))
     print(f"{len(results) - len(bad)}/{len(results)} entries OK")
     return 1 if bad and not args.remove else 0
-
-
-def _cmd_bench_hotpath(args) -> int:
-    from .fastpath import render_hotpath_bench, run_hotpath_bench
-    from .kernel import Kernel
-    with open(args.program) as handle:
-        source = handle.read()
-    image = Kernel().boot(assemble(source, name=args.program))
-    mode = "random" if args.random else "periodic"
-    result = run_hotpath_bench(args.trace, image,
-                               output=args.hotpath_output,
-                               period=args.period, mode=mode,
-                               seed=args.seed, quick=args.quick,
-                               verbose=True)
-    print(render_hotpath_bench(result))
-    return 0 if result["checksums_equal"] else 1
 
 
 def _lint_targets(targets: List[str]):
@@ -905,16 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("file")
     record.add_argument("-o", "--output", default="trace.tiptrace")
     record.add_argument("--map-all", action="store_true")
-    record.add_argument("--format", default="v3",
-                        choices=["v1", "v2", "v3"],
-                        help="trace format (v3 is columnar and replays "
-                             "zero-copy via mmap; default)")
-    record.add_argument("--chunk-cycles", type=int,
-                        default=DEFAULT_CHUNK_CYCLES,
-                        help="records per v2/v3 chunk")
-    record.add_argument("--compress", action="store_true",
-                        help="zlib-compress v2/v3 chunk payloads "
-                             "(disables zero-copy v3 replay)")
     _add_sanitize(record)
     _add_sim(record)
     record.set_defaults(func=cmd_record)
@@ -930,49 +876,22 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--engine", default="block",
                         choices=["cycle", "block"],
                         help="trace consumption engine: columnar "
-                             "blocks (default; falls back to cycle "
-                             "for v1 traces) or per-record cycles")
+                             "blocks (default) or per-record cycles")
     _add_common(replay)
     _add_sanitize(replay)
     replay.set_defaults(func=cmd_replay)
 
-    convert = sub.add_parser(
-        "convert-trace",
-        help="re-encode a trace in another format version "
-             "(v1/v2 -> v3 upgrades, v3 -> v2 downgrades, ...)")
-    convert.add_argument("trace")
-    convert.add_argument("-o", "--output", required=True)
-    convert.add_argument("--to", default="v3",
-                         choices=["v1", "v2", "v3"],
-                         help="target format version (default v3)")
-    convert.add_argument("--chunk-cycles", type=int,
-                         default=DEFAULT_CHUNK_CYCLES)
-    convert.add_argument("--compress", action="store_true")
-    convert.set_defaults(func=cmd_convert_trace)
-
     bench = sub.add_parser(
-        "bench", help="time the replay engines (--trace) or the "
-                      "simulation fast path (--sim)")
+        "bench", help="time the simulation fast path (--sim)")
     bench.add_argument("benchmarks", nargs="*",
-                       help="suite benchmarks for --sim runs")
-    bench.add_argument("--trace",
-                       help="recorded trace (v1, v2 or v3): benchmark "
-                            "the cycle-vs-block replay engines on it")
-    bench.add_argument("--program",
-                       help="assembly source the trace was recorded "
-                            "from (required with --trace)")
+                       help="suite benchmarks to time")
     bench.add_argument("--quick", action="store_true",
                        help="fewer timing repetitions (CI smoke)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="sampling seed for --trace runs")
-    bench.add_argument("--hotpath-output", default="BENCH_hotpath.json",
-                       help="output file for --trace runs")
     bench.add_argument("--sim", action="store_true",
                        help="benchmark step vs fast-forward vs "
                             "cache-hit simulation")
     bench.add_argument("--sim-output", default="BENCH_sim.json",
-                       help="output file for --sim runs")
-    _add_common(bench)
+                       help="output file")
     bench.set_defaults(func=cmd_bench)
 
     cache = sub.add_parser(

@@ -8,11 +8,7 @@ from .core import (FAST_SIM, SIM_MODES, STEP_SIM, Core, CoreStats,
 from .machine import Machine
 from .trace import (CommittedInst, CycleRecord, HeadEntry, TraceCollector,
                     TraceObserver, replay, shifted_record)
-from .tracefile import (ChunkCarry, ChunkInfo, DEFAULT_CHUNK_CYCLES,
-                        TraceIndex, TraceReaderV2, TraceReaderV3,
-                        TraceWriter, TraceWriterV2, TraceWriterV3,
-                        convert_trace, convert_v1_to_v2, open_reader,
-                        read_chunk, read_index, read_trace,
+from .tracefile import (DEFAULT_CHUNK_CYCLES, TraceReader, TraceWriter,
                         replay_trace)
 from .uop import MicroOp, MicroOpPool
 
@@ -23,9 +19,6 @@ __all__ = [
     "SIM_MODES",
     "Machine", "CommittedInst", "CycleRecord", "HeadEntry",
     "TraceCollector", "TraceObserver", "replay", "MicroOp", "MicroOpPool",
-    "ChunkCarry", "ChunkInfo", "DEFAULT_CHUNK_CYCLES", "TraceIndex",
-    "TraceReaderV2", "TraceReaderV3", "TraceWriter", "TraceWriterV2",
-    "TraceWriterV3", "convert_trace", "convert_v1_to_v2", "open_reader",
-    "read_chunk", "read_index", "read_trace", "replay_trace",
+    "DEFAULT_CHUNK_CYCLES", "TraceReader", "TraceWriter", "replay_trace",
     "shifted_record",
 ]

@@ -3,8 +3,8 @@
 The cycle engine hands every observer one :class:`~repro.cpu.trace.
 CycleRecord` object per cycle, which costs an object allocation, a
 tuple of ``CommittedInst`` objects and a Python method call per
-observer per cycle.  A :class:`CycleBlock` decodes a whole v2 chunk
-into *parallel arrays* instead -- one column per record field, with
+observer per cycle.  A :class:`CycleBlock` holds a whole trace chunk
+as *parallel arrays* instead -- one column per record field, with
 variable-length fields flattened behind prefix-sum offset arrays -- so
 the per-cycle hot path becomes integer indexing into shared columns.
 
@@ -27,8 +27,8 @@ Packed representation (``n`` = number of records in the block):
   the trace wire format);
 * ``disp_base``/``disp_addr`` -- same layout for dispatched addresses.
 
-Keeping the decode loop down to this packed form is what makes it
-fast; the classic dense columns (``rob_empty``, ``rob_head``,
+Keeping blocks in this packed form is what makes them fast; the
+classic dense columns (``rob_empty``, ``rob_head``,
 ``exception``, ``exc_ordering``, ``dispatch_pc``) are *derived lazily*
 and cached -- flag bits expand through ``bytes.translate`` and the
 optional columns through one list comprehension each -- so observers
@@ -43,34 +43,24 @@ cached flag masks (``exc_mask``, ``disp_pc_mask``) answer "next
 record with this flag" through C-speed ``bytes.find``/``rfind``.
 
 Columns may be plain Python containers or zero-copy ``memoryview``
-casts over an mmap-ed v3 chunk (:mod:`repro.cpu.tracefile`); both
+casts over an mmap-ed trace chunk (:mod:`repro.cpu.tracefile`); both
 support the indexing, slicing and bisection the fast paths rely on.
 
-Blocks are built two ways: :func:`decode_block` parses a raw v2 chunk
-payload straight into columns (no intermediate record objects), and
-:meth:`CycleBlock.from_records` columnarizes live records (the
-simulation-side :class:`~repro.fastpath.engine.BlockAssembler`); v3
-chunks skip decoding entirely and wrap the stored columns in place.
+Blocks are built two ways: :meth:`CycleBlock.from_runs` /
+:meth:`CycleBlock.from_records` columnarize live records (the trace
+writer and the simulation-side
+:class:`~repro.fastpath.engine.BlockAssembler`), and the trace reader
+wraps a recorded chunk's stored columns in place, with no decoding.
 ``record(i)``/``records()`` materialize classic ``CycleRecord``
 objects on demand for observers without a columnar fast path.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cpu.trace import CommittedInst, CycleRecord, HeadEntry
-
-#: Per-record header (flags, counts, oldest bank) fused with the
-#: always-present fetch PC -- one unpack per record.
-_HDRPC = struct.Struct("<BBBQ")
-#: Small-run unpackers for k consecutive u64s (optional fields and
-#: dispatch groups).
-_QFMT = tuple(struct.Struct("<%dQ" % k) for k in range(16))
-#: Commit-group unpackers: k (addr u64, meta byte) pairs at once.
-_CFMT = tuple(struct.Struct("<" + "QB" * k) for k in range(16))
 
 _F_EMPTY = 1 << 0
 _F_EXC = 1 << 1
@@ -78,9 +68,6 @@ _F_ORD = 1 << 2
 _F_DISP_PC = 1 << 3
 _F_HEAD = 1 << 4
 
-#: flags byte -> number of optional u64s following the fetch PC.
-_NOPT = tuple(bin(f & (_F_EXC | _F_DISP_PC | _F_HEAD)).count("1")
-              for f in range(256))
 #: ``translate`` tables expanding one flag bit into a 0/1 column.
 _EMPTY_TABLE = bytes(1 if f & _F_EMPTY else 0 for f in range(256))
 _ORD_TABLE = bytes(1 if f & _F_ORD else 0 for f in range(256))
@@ -158,7 +145,7 @@ class CycleBlock:
 
         ``bytes`` supports the C-speed ``translate``/``find``/``count``
         scans the vectorized observers run; ``memoryview``-backed
-        blocks (mmap-ed v3 chunks) pay one copy here, amortized across
+        blocks (mmap-ed trace chunks) pay one copy here, amortized across
         every mask derived from it.
         """
         if self._flags_bytes is None:
@@ -226,8 +213,7 @@ class CycleBlock:
     def record(self, i: int) -> CycleRecord:
         """Materialize record *i* as a classic :class:`CycleRecord`.
 
-        Matches the cycle engine's decoder bit for bit; like the wire
-        format, only the oldest bank's head entry is represented in
+        Like the wire format, only the oldest bank's head entry is represented in
         ``head_banks``.
         """
         lo, hi = self.commit_base[i], self.commit_base[i + 1]
@@ -392,70 +378,3 @@ def _extend_prefix(base: "array", k: int, count: int) -> None:
         base.extend(range(last + k, last + k * count + 1, k))
     else:
         base.extend([last] * count)
-
-
-def decode_block(raw: bytes, start_cycle: int, n_records: int,
-                 banks: int) -> CycleBlock:
-    """Decode a raw (decompressed) v2 chunk payload into columns.
-
-    Parses the shared per-record wire format of
-    :mod:`repro.cpu.tracefile` without creating any per-record objects:
-    one fused header+PC unpack per record, one batched unpack each for
-    the optional u64 run, the commit group and the dispatch group.
-    """
-    hdrpc_unpack = _HDRPC.unpack_from
-    nopt = _NOPT
-    qfmt = _QFMT
-    cfmt = _CFMT
-    flags_col = bytearray()
-    flags_append = flags_col.append
-    oldest = bytearray()
-    oldest_append = oldest.append
-    fetch_pc: List[int] = []
-    fetch_append = fetch_pc.append
-    opt_vals: List[int] = []
-    opt_extend = opt_vals.extend
-    opt_base = array("I", [0])
-    opt_base_append = opt_base.append
-    commit_base = array("I", [0])
-    commit_base_append = commit_base.append
-    commit_addr: List[int] = []
-    commit_addr_extend = commit_addr.extend
-    commit_meta = bytearray()
-    commit_meta_extend = commit_meta.extend
-    disp_base = array("I", [0])
-    disp_base_append = disp_base.append
-    disp_addr: List[int] = []
-    disp_addr_extend = disp_addr.extend
-    pos = 0
-    try:
-        for _ in range(n_records):
-            flags, counts, oldest_bank, pc = hdrpc_unpack(raw, pos)
-            pos += 11
-            flags_append(flags)
-            oldest_append(oldest_bank)
-            fetch_append(pc)
-            k = nopt[flags]
-            if k:
-                opt_extend(qfmt[k].unpack_from(raw, pos))
-                pos += 8 * k
-            opt_base_append(len(opt_vals))
-            nc = counts & 0xF
-            if nc:
-                group = cfmt[nc].unpack_from(raw, pos)
-                pos += 9 * nc
-                commit_addr_extend(group[::2])
-                commit_meta_extend(group[1::2])
-            commit_base_append(len(commit_addr))
-            nd = counts >> 4
-            if nd:
-                disp_addr_extend(qfmt[nd].unpack_from(raw, pos))
-                pos += 8 * nd
-            disp_base_append(len(disp_addr))
-    except (struct.error, IndexError):
-        raise ValueError("truncated trace record") from None
-    if pos != len(raw):
-        raise ValueError("trailing bytes in trace chunk")
-    return CycleBlock(start_cycle, n_records, banks, flags_col, oldest,
-                      fetch_pc, opt_vals, opt_base, commit_base,
-                      commit_addr, commit_meta, disp_base, disp_addr)

@@ -4,10 +4,10 @@ Two interchangeable ways to drive :class:`~repro.cpu.trace.
 TraceObserver` sets over a recorded trace:
 
 * the **cycle** engine (:func:`~repro.cpu.tracefile.replay_trace`) --
-  decode one :class:`CycleRecord` per cycle and call ``on_cycle`` on
-  every observer;
-* the **block** engine (:func:`replay_blocks`) -- decode each v2 chunk
-  into a columnar :class:`~repro.fastpath.block.CycleBlock` and call
+  materialize one :class:`CycleRecord` per cycle and call ``on_cycle``
+  on every observer;
+* the **block** engine (:func:`replay_blocks`) -- wrap each trace chunk
+  in a columnar :class:`~repro.fastpath.block.CycleBlock` and call
   ``on_block`` once per observer per chunk.  Observers without a
   columnar fast path transparently fall back to a loop over
   ``on_cycle`` (the :class:`~repro.cpu.trace.TraceObserver` default),
@@ -15,19 +15,17 @@ TraceObserver` sets over a recorded trace:
   the block engine only changes *how often Python function calls
   happen*, never what the observers see.
 
-:func:`replay_with_engine` picks an engine with automatic degradation
-(v1 traces have no chunk index and replay record-at-a-time), and
+:func:`replay_with_engine` dispatches on the engine name, and
 :class:`BlockAssembler` brings the same batching to live simulation:
 it buffers the core's per-cycle records and dispatches whole blocks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import BinaryIO, Iterable, List, Sequence, Tuple, Union
 
 from ..cpu.trace import CycleRecord, TraceObserver, shifted_record
-from ..cpu.tracefile import (TraceReaderV2, TraceReaderV3, open_reader,
-                             replay_trace)
+from ..cpu.tracefile import TraceReader, replay_trace
 from .block import CycleBlock
 
 #: Engine names accepted across the CLI and the replay entry points.
@@ -38,7 +36,7 @@ ENGINES = (CYCLE_ENGINE, BLOCK_ENGINE)
 #: Records per block when batching live simulation output.
 DEFAULT_ASSEMBLE_CYCLES = 1024
 
-TraceSource = Union[bytes, str, object]
+TraceSource = Union[bytes, str, BinaryIO]
 
 
 def validate_engine(engine: str) -> str:
@@ -50,32 +48,15 @@ def validate_engine(engine: str) -> str:
 
 def replay_blocks(source: TraceSource,
                   *observers: TraceObserver) -> int:
-    """Replay a v2/v3 trace through *observers* one chunk-block at a
-    time.
-
-    *source* may also be an already-open :class:`TraceReaderV2`/
-    :class:`TraceReaderV3`; the reader is then reused (one fd/mmap
-    across repeated replays) and left open for the caller to close.
-    Returns the cycle count.  Raises :class:`ValueError` for v1 traces
-    (no chunk directory) -- use :func:`replay_with_engine` for
-    automatic fallback.
-    """
+    """Replay a trace through *observers* one chunk-block at a time;
+    returns the cycle count."""
     final_cycle = 0
-    if isinstance(source, (TraceReaderV2, TraceReaderV3)):
-        reader = source
-        owns = False
-    else:
-        reader = open_reader(source)
-        owns = True
-    try:
+    with TraceReader(source) as reader:
         for chunk in reader.index.chunks:
             block = reader.chunk_block(chunk)
             for observer in observers:
                 observer.on_block(block)
             final_cycle = chunk.start_cycle + chunk.n_records - 1
-    finally:
-        if owns:
-            reader.close()
     for observer in observers:
         observer.on_finish(final_cycle)
     return final_cycle + 1
@@ -83,25 +64,12 @@ def replay_blocks(source: TraceSource,
 
 def replay_with_engine(source: TraceSource,
                        observers: Iterable[TraceObserver],
-                       engine: str = BLOCK_ENGINE) -> Tuple[int, str]:
-    """Replay *source* with the requested engine, degrading gracefully.
-
-    Returns ``(cycles, engine_used)``; ``engine_used`` is ``"cycle"``
-    when a block replay was requested but the trace is v1 (flat
-    streams cannot be chunk-decoded).
-    """
+                       engine: str = BLOCK_ENGINE) -> int:
+    """Replay *source* with the named engine; returns the cycle count."""
     observers = tuple(observers)
-    validate_engine(engine)
-    if engine == BLOCK_ENGINE:
-        try:
-            return replay_blocks(source, *observers), BLOCK_ENGINE
-        except ValueError:
-            # v1 trace: no chunk index.  Nothing has been consumed
-            # (the reader fails on the magic) except a seekable
-            # stream's header bytes; rewind those.
-            if hasattr(source, "seek"):
-                source.seek(0)
-    return replay_trace(source, *observers), CYCLE_ENGINE
+    if validate_engine(engine) == BLOCK_ENGINE:
+        return replay_blocks(source, *observers)
+    return replay_trace(source, *observers)
 
 
 class BlockAssembler(TraceObserver):

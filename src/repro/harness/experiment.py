@@ -89,9 +89,6 @@ class ExperimentResult:
         #: (block-engine replay of the cached trace) instead of a live
         #: simulation.  Results are bit-identical either way.
         self.cached = False
-        #: Engine a trace replay actually used ("cycle" or "block");
-        #: ``None`` for simulations.
-        self.engine: Optional[str] = None
         self.symbolizer = Symbolizer(program)
 
     # -- errors -------------------------------------------------------------------
@@ -164,7 +161,7 @@ def run_experiment(program: Program,
     against single-stepping); *cache* enables the content-addressed
     simulation cache (``True`` for the default root, a path, or a
     :class:`~repro.simfast.SimCache`).  On a hit the profilers replay
-    the cached columnar (v3) trace zero-copy through the block engine
+    the cached columnar trace zero-copy through the block engine
     and ``result.cached`` is set; on a miss the run records into the
     cache.
     Traces, reports and stats are bit-identical across all paths.
@@ -277,14 +274,11 @@ def replay_experiment(trace, image: Program,
     trace N times and multiply its cycle counts by N; ``cycles_checked``
     equals the trace length exactly.
 
-    *trace* is a path, raw bytes or a binary stream in any trace format
-    (v1, v2 or v3).  *engine* selects how it is consumed: ``"block"``
-    (default) decodes each chunk into a columnar
-    :class:`~repro.fastpath.CycleBlock` that every observer shares, and
+    *trace* is a path, raw bytes or a binary stream.  *engine* selects
+    how it is consumed: ``"block"`` (default) hands every observer each
+    chunk as one columnar :class:`~repro.fastpath.CycleBlock`, and
     ``"cycle"`` forces the classic per-record replay.  Both engines
-    produce bit-identical profiles.  v1 traces have no chunk directory,
-    so a block request degrades to the cycle engine; the engine
-    actually used is ``result.engine``.
+    produce bit-identical profiles.
 
     ``result.stats`` is ``None`` -- the simulator never ran -- and
     ``result.oracle.total_cycles`` is the replayed record count.
@@ -304,12 +298,10 @@ def replay_experiment(trace, image: Program,
     observers = list(built.values()) + [oracle]
     if sanitizer is not None:
         observers.append(sanitizer)
-    cycles, engine_used = replay_with_engine(trace, observers, engine)
-    oracle.report.total_cycles = cycles
-    result = ExperimentResult(image, oracle.report, built, stats=None,
-                              sanitizer=sanitizer)
-    result.engine = engine_used
-    return result
+    oracle.report.total_cycles = replay_with_engine(trace, observers,
+                                                    engine)
+    return ExperimentResult(image, oracle.report, built, stats=None,
+                            sanitizer=sanitizer)
 
 
 def default_profilers(period: int, mode: str = "periodic", seed: int = 0,

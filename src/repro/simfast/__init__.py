@@ -9,7 +9,7 @@ Three layers make re-running experiments cheap (see ``docs/simfast.md``):
 * **micro-op recycling** (:class:`repro.cpu.MicroOpPool`) removes the
   per-fetch allocation cost;
 * the **content-addressed simulation cache** (:class:`SimCache`) stores
-  the v2 trace of a completed run keyed by everything that determines
+  the trace of a completed run keyed by everything that determines
   it, so identical re-runs replay through the columnar block engine
   instead of simulating.
 

@@ -11,10 +11,10 @@ or ``$REPRO_CACHE_DIR``):
   sampling-schedule parameters, trace-format version, repro version) --
   any change to the simulator's inputs or to the code that could alter
   its output yields a fresh key, which is the whole invalidation story
-  (bumping :data:`TRACE_FORMAT_VERSION` invalidates every v2-era
+  (bumping :data:`TRACE_FORMAT_VERSION` invalidates every older
   entry, so mixed-version caches never hand back a stale format);
 * each entry is a ``<key>.trace`` (columnar v3, written atomically by
-  the path-mode :class:`~repro.cpu.tracefile.TraceWriterV3`, replayed
+  the path-mode :class:`~repro.cpu.tracefile.TraceWriter`, replayed
   zero-copy via mmap) plus a ``<key>.json`` sidecar holding the
   trace's SHA-256 checksum and the run's
   :class:`~repro.cpu.core.CoreStats`;
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .. import __version__
 from ..cpu.config import CoreConfig
 from ..cpu.core import CoreStats
-from ..cpu.tracefile import TraceWriterV3
+from ..cpu.tracefile import TraceWriter
 from ..isa.program import Program
 
 #: Wire-format version of the cached traces (``TIPTRC03``).
@@ -192,17 +192,15 @@ class SimCache:
 
     # -- fills -----------------------------------------------------------------------
 
-    def open_writer(self, key: str, banks: int,
-                    compress: bool = False) -> TraceWriterV3:
+    def open_writer(self, key: str, banks: int) -> TraceWriter:
         """A path-mode (atomic) trace writer targeting this entry.
 
         Attach it to the machine for the run; on an aborted or failed
-        run call :meth:`TraceWriterV3.abort` and nothing is cached.
+        run call :meth:`TraceWriter.abort` and nothing is cached.
         The entry only becomes visible once :meth:`commit` writes the
         checksummed sidecar.
         """
-        return TraceWriterV3(self._trace_path(key), banks=banks,
-                             compress=compress)
+        return TraceWriter(self._trace_path(key), banks=banks)
 
     def commit(self, key: str, stats: CoreStats,
                program_name: str = "") -> None:

@@ -93,7 +93,7 @@ def count_loop_source():
 def golden():
     """The checked-in golden trace (``tests/data/make_golden.py``).
 
-    ``trace`` is the v2 recording of ``golden.s``, ``expected`` the
+    ``trace`` is the recording of ``golden.s``, ``expected`` the
     per-profiler checksums and profiles of its replay, ``image`` the
     booted program and ``configs`` the seven profilers that produced
     ``expected``.

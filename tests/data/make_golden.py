@@ -4,12 +4,11 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-Produces ``golden.tiptrace`` (a chunk-indexed v2 commit trace of
-``golden.s``) and ``golden_expected.json`` (per-profiler sample
+Produces ``golden.tiptrace`` (the commit trace of ``golden.s`` in
+256-cycle chunks) and ``golden_expected.json`` (per-profiler sample
 checksums and instruction-level profiles from a replay).  The
 differential test asserts that every replay of the checked-in trace
-(both engines, v2 and v3 encodings, every source kind) reproduces these
-values exactly, so regenerating the files is only legitimate after an
+(both engines, every source kind) reproduces these values exactly, so regenerating the files is only legitimate after an
 intentional change to the trace format, the golden program, or a
 profiler's attribution policy.
 """
@@ -20,7 +19,7 @@ import os
 
 from repro.analysis.profiles import profile_checksum
 from repro.cpu.machine import Machine
-from repro.cpu.tracefile import TraceWriterV2
+from repro.cpu.tracefile import TraceWriter
 from repro.harness.experiment import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
@@ -49,8 +48,8 @@ def main():
     program = assemble(source, name="golden.s")
     machine = Machine(program)
     buffer = io.BytesIO()
-    machine.attach(TraceWriterV2(buffer, machine.config.rob_banks,
-                                 chunk_cycles=CHUNK_CYCLES))
+    machine.attach(TraceWriter(buffer, machine.config.rob_banks,
+                               chunk_cycles=CHUNK_CYCLES))
     stats = machine.run()
     trace = buffer.getvalue()
     with open(os.path.join(HERE, "golden.tiptrace"), "wb") as out:

@@ -1,7 +1,12 @@
 """CLI tests."""
 
 import argparse
+import contextlib
+import glob
+import io
+import os
 import re
+import shlex
 
 import pytest
 
@@ -299,9 +304,7 @@ loop:
     assert "sanitizer:" in out and "clean" in out
 
 
-def test_record_replay_and_convert(tmp_path, capsys):
-    source = tmp_path / "prog.s"
-    source.write_text("""
+LOOP_SOURCE = """
 .func main
     addi x1, x0, 0
     addi x2, x0, 600
@@ -310,85 +313,78 @@ loop:
     addi x1, x1, 1
     bne  x1, x2, loop
     halt
-""")
-    v2 = tmp_path / "run2.tiptrace"
-    assert main(["record", str(source), "-o", str(v2),
-                 "--chunk-cycles", "128", "--compress",
-                 "--format", "v2"]) == 0
-    out = capsys.readouterr().out
-    assert "[v2]" in out
-
-    assert main(["replay", str(v2), str(source),
-                 "--period", "11", "--sanitize"]) == 0
-    out = capsys.readouterr().out
-    assert "(block engine)" in out
-    assert "clean" in out
-
-    # Replay is serial: there is no --jobs to shard it.
-    with pytest.raises(SystemExit) as exc:
-        main(["replay", str(v2), str(source), "--jobs", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-    # v3 is the default record format.
-    v3 = tmp_path / "run3.tiptrace"
-    assert main(["record", str(source), "-o", str(v3),
-                 "--chunk-cycles", "128"]) == 0
-    out = capsys.readouterr().out
-    assert "[v3]" in out
-    assert main(["replay", str(v3), str(source), "--engine", "cycle",
-                 "--period", "11", "--sanitize"]) == 0
-    out = capsys.readouterr().out
-    assert "(cycle engine)" in out
-    assert "clean" in out
-
-    v1 = tmp_path / "run1.tiptrace"
-    assert main(["record", str(source), "-o", str(v1),
-                 "--format", "v1"]) == 0
-    capsys.readouterr()
-    converted = tmp_path / "converted.tiptrace"
-    assert main(["convert-trace", str(v1), "-o", str(converted),
-                 "--chunk-cycles", "64"]) == 0
-    out = capsys.readouterr().out
-    assert "converted" in out and "[v3]" in out
-    assert main(["replay", str(converted), str(source),
-                 "--period", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "(block engine)" in out
-
-    # Downgrade path: v3 -> v2 keeps every record.
-    down = tmp_path / "down.tiptrace"
-    assert main(["convert-trace", str(v3), "-o", str(down),
-                 "--to", "v2", "--chunk-cycles", "128"]) == 0
-    out = capsys.readouterr().out
-    assert "[v2]" in out
-    assert main(["replay", str(down), str(source),
-                 "--period", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "replayed" in out
+"""
 
 
-def test_replay_v1_trace_falls_back_serially(tmp_path, capsys):
-    """v1 traces have no chunk directory: a block-engine replay falls
-    back to per-record consumption and says so."""
+def test_record_replay_both_engines(tmp_path, capsys):
     source = tmp_path / "prog.s"
-    source.write_text("""
-.func main
-    addi x1, x0, 0
-    addi x2, x0, 100
-loop:
-    addi x1, x1, 1
-    bne  x1, x2, loop
-    halt
-""")
+    source.write_text(LOOP_SOURCE)
     trace = tmp_path / "run.tiptrace"
-    assert main(["record", str(source), "-o", str(trace),
-                 "--format", "v1"]) == 0
+    assert main(["record", str(source), "-o", str(trace)]) == 0
+    assert "recorded" in capsys.readouterr().out
+
+    lines = {}
+    for engine in ("block", "cycle"):
+        assert main(["replay", str(trace), str(source), "--engine",
+                     engine, "--period", "11", "--sanitize"]) == 0
+        out = capsys.readouterr().out
+        assert f"({engine} engine)" in out
+        assert "clean" in out
+        lines[engine] = [line for line in out.splitlines()
+                         if "error" in line]
+    assert lines["block"] == lines["cycle"]
+
+    # One format: the format, chunking and compression options, the
+    # converter and sharded replay are gone.
+    for argv in (["record", str(source), "--format", "v2"],
+                 ["record", str(source), "--chunk-cycles", "64"],
+                 ["record", str(source), "--compress"],
+                 ["convert-trace", str(trace), "-o", "x.tiptrace"],
+                 ["replay", str(trace), str(source), "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
-    assert main(["replay", str(trace), str(source),
-                 "--period", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "(cycle engine)" in out
+
+
+def _unreadable_trace(kind, tmp_path):
+    """A path that is not a readable trace, and a word of the reason."""
+    path = tmp_path / f"{kind}.tiptrace"
+    if kind == "missing":
+        return path, "No such file"
+    if kind == "random":
+        path.write_bytes(bytes(range(7, 7 + 64)))
+        return path, "not a TIP trace"
+    if kind in ("v1", "v2"):
+        path.write_bytes(f"TIPTRC0{kind[1]}".encode() + bytes(64))
+        return path, f"format {kind} is no longer supported"
+    source = tmp_path / "prog.s"
+    source.write_text(LOOP_SOURCE)
+    assert main(["record", str(source), "-o", str(path)]) == 0
+    data = bytearray(path.read_bytes())
+    if kind == "zlib":
+        data[9] |= 1  # file-header flags byte, bit 0: zlib payloads
+        path.write_bytes(bytes(data))
+        return path, "zlib"
+    path.write_bytes(bytes(data[:len(data) - 24]))
+    return path, "truncated"
+
+
+@pytest.mark.parametrize("kind", ["missing", "random", "v1", "v2", "zlib",
+                                  "truncated"])
+def test_replay_unreadable_trace_exits_2(kind, tmp_path, capsys):
+    """Outside input that is not a readable trace ends in one stderr
+    line naming the file and the reason, not a traceback."""
+    path, reason = _unreadable_trace(kind, tmp_path)
+    source = tmp_path / "prog.s"
+    source.write_text(LOOP_SOURCE)
+    capsys.readouterr()
+    assert main(["replay", str(path), str(source)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert str(path) in err and reason in err, err
+    if kind in ("v1", "v2"):
+        assert "re-record" in err
 
 
 def test_suite_parallel_jobs(capsys):
@@ -400,12 +396,15 @@ def test_suite_parallel_jobs(capsys):
 
 
 def test_bench_command(capsys):
-    """``bench`` has two modes; with neither it names both."""
+    """``bench`` has one mode; without ``--sim`` it says so."""
     assert main(["bench"]) == 2
     err = capsys.readouterr().err
-    assert "--sim" in err and "--trace" in err
+    assert "--sim" in err
     for gone in (["-o", "x.json"], ["--scale", "0.1"], ["--jobs", "2"],
-                 ["--chunk-cycles", "64"], ["--compress"]):
+                 ["--chunk-cycles", "64"], ["--compress"],
+                 ["--trace", "t.tiptrace"], ["--program", "p.s"],
+                 ["--hotpath-output", "x.json"], ["--seed", "1"],
+                 ["--period", "7"], ["--random"]):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--sim"] + gone)
         assert exc.value.code == 2
@@ -464,7 +463,55 @@ def test_docstring_matches_parser():
         assert flags <= known, \
             f"{command}: docstring mentions {sorted(flags - known)}"
 
-    record_entry = re.search(r"``record [^`]*``\n((?:    .*\n)+)", doc)
-    stated = re.search(r"\b(v\d) by default",
-                       " ".join(record_entry.group(1).split()))
-    assert stated.group(1) == commands["record"].get_default("format")
+
+# -- the docs' command lines must parse; a removed verb or flag fails here -------
+
+
+_DOC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_DOC_COMMAND = re.compile(
+    r"^\s*(?:\$\s*)?(?:python3?\s+-m\s+repro|repro)\s+(.*)$")
+
+
+def _doc_commands():
+    """(where, argv) for every ``repro ...`` line in a fenced block of
+    README.md and docs/*.md; ``\\``-continued lines count as one
+    command and a trailing ``# comment`` is dropped."""
+    paths = [os.path.join(_DOC_ROOT, "README.md")] + sorted(
+        glob.glob(os.path.join(_DOC_ROOT, "docs", "*.md")))
+    for path in paths:
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        fenced, pending, start = False, "", 0
+        for number, line in enumerate(lines, 1):
+            if line.lstrip().startswith("```"):
+                fenced, pending = not fenced, ""
+                continue
+            if not fenced:
+                continue
+            if not pending:
+                start = number
+            line = pending + line
+            if line.rstrip().endswith("\\"):
+                pending = line.rstrip()[:-1] + " "
+                continue
+            pending = ""
+            match = _DOC_COMMAND.match(line)
+            if match:
+                argv = shlex.split(match.group(1), comments=True)
+                yield f"{os.path.relpath(path, _DOC_ROOT)}:{start}", argv
+
+
+def test_doc_command_lines_parse():
+    commands = list(_doc_commands())
+    assert len(commands) > 20  # the scan found the docs' examples
+    failures = []
+    for where, argv in commands:
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                build_parser().parse_args(argv)
+        except SystemExit:
+            failures.append(f"{where}: repro {' '.join(argv)}: "
+                            f"{stderr.getvalue().strip()}")
+    assert not failures, "\n".join(failures)
+

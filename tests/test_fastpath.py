@@ -4,13 +4,12 @@ The columnar engine is only a valid optimisation if every observer
 produces exactly the same samples, profiles and reports as the classic
 record-at-a-time replay.  These tests check that equivalence three
 ways: on hypothesis-generated random traces (all profilers), on the
-checked-in golden trace (both engines, v2 and v3 encodings, every
-source kind), and for the simulation-side
+checked-in golden trace (both engines, every source kind), and for the
+simulation-side
 :class:`~repro.fastpath.BlockAssembler`.
 """
 
 import io
-import json
 import os
 
 import pytest
@@ -22,11 +21,9 @@ from repro.core.baselines import SoftwareProfiler
 from repro.core.oracle import OracleProfiler
 from repro.core.sampling import SampleSchedule
 from repro.cpu.machine import Machine
-from repro.cpu.tracefile import (TraceReaderV2, TraceWriterV2,
-                                 convert_trace, replay_trace)
-from repro.fastpath import (BlockAssembler, CycleBlock, decode_block,
-                            replay_blocks, replay_with_engine,
-                            run_hotpath_bench, validate_engine)
+from repro.cpu.tracefile import TraceReader, TraceWriter, replay_trace
+from repro.fastpath import (BlockAssembler, CycleBlock, replay_blocks,
+                            validate_engine)
 from repro.harness import ProfilerConfig, replay_experiment
 from repro.isa import assemble
 from repro.kernel import Kernel
@@ -45,9 +42,9 @@ def _tiny_image():
     return Kernel().boot(assemble(TINY, name="tiny.s"))
 
 
-def _encode_v2(records, banks=4, chunk_cycles=8) -> bytes:
+def _encode(records, banks=4, chunk_cycles=8) -> bytes:
     buffer = io.BytesIO()
-    writer = TraceWriterV2(buffer, banks, chunk_cycles=chunk_cycles)
+    writer = TraceWriter(buffer, banks, chunk_cycles=chunk_cycles)
     for record in records:
         writer.on_cycle(record)
     writer.on_finish(records[-1].cycle)
@@ -96,7 +93,7 @@ def _profilers_under_test(image):
 @settings(max_examples=25, deadline=None)
 def test_property_block_engine_matches_cycle_engine(records):
     image = _tiny_image()
-    trace = _encode_v2(records)
+    trace = _encode(records)
     for cycle_prof, block_prof in zip(_profilers_under_test(image),
                                       _profilers_under_test(image)):
         replay_trace(trace, cycle_prof)
@@ -118,14 +115,11 @@ def test_property_block_engine_matches_cycle_engine(records):
 @given(records=_random_records())
 @settings(max_examples=25, deadline=None)
 def test_property_block_round_trip(records):
-    trace = _encode_v2(records)
+    trace = _encode(records)
     decoded = []
-    with TraceReaderV2(trace) as reader:
+    with TraceReader(trace) as reader:
         for chunk in reader.index.chunks:
-            block = decode_block(reader.chunk_payload(chunk),
-                                 chunk.start_cycle, chunk.n_records,
-                                 reader.banks)
-            decoded.extend(block.records())
+            decoded.extend(reader.chunk_block(chunk).records())
     assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
         assert copy.cycle == original.cycle
@@ -141,18 +135,15 @@ def test_property_block_round_trip(records):
              for c in original.committed]
 
 
-# -- golden trace: every engine, encoding and source kind ------------------------
+# -- golden trace: every engine and source kind ---------------------------------
 
 
 @pytest.fixture(scope="module")
-def golden_paths(golden, tmp_path_factory):
-    """The golden v2 trace and its v3 conversion, as files."""
-    root = tmp_path_factory.mktemp("golden")
-    v2 = root / "golden_v2.tiptrace"
-    v2.write_bytes(golden.trace)
-    v3 = root / "golden_v3.tiptrace"
-    convert_trace(golden.trace, str(v3), version=3)
-    return {"v2": str(v2), "v3": str(v3)}
+def golden_path(golden, tmp_path_factory):
+    """The golden trace as a file."""
+    path = tmp_path_factory.mktemp("golden") / "golden.tiptrace"
+    path.write_bytes(golden.trace)
+    return str(path)
 
 
 def _open_fds():
@@ -160,26 +151,22 @@ def _open_fds():
 
 
 @pytest.mark.parametrize("source", ["bytes", "stream", "path"])
-@pytest.mark.parametrize("encoding", ["v2", "v3"])
 @pytest.mark.parametrize("engine", ["cycle", "block"])
-def test_golden_replay(golden, golden_paths, engine, encoding, source):
+def test_golden_replay(golden, golden_path, engine, source):
     """Replaying the golden trace reproduces ``golden_expected.json``
     exactly -- samples, profiles and the Oracle profile -- whichever
-    engine, encoding (the checked-in v2 or its v3 conversion) and
-    source (bytes, a binary stream, or a path the reader mmaps)."""
-    path = golden_paths[encoding]
-    with open(path, "rb") as handle:
-        data = handle.read()
+    engine and source (bytes, a binary stream, or a path the reader
+    mmaps)."""
 
     def replay():
-        trace = {"bytes": data, "stream": io.BytesIO(data),
-                 "path": path}[source]
+        trace = {"bytes": golden.trace,
+                 "stream": io.BytesIO(golden.trace),
+                 "path": golden_path}[source]
         return replay_experiment(trace, golden.image, golden.configs,
                                  engine=engine)
 
     result = replay()
     expected = golden.expected
-    assert result.engine == engine
     assert result.stats is None
     assert result.oracle.total_cycles == expected["cycles"]
     assert set(result.profilers) == set(expected["profilers"])
@@ -204,27 +191,12 @@ def test_golden_replay(golden, golden_paths, engine, encoding, source):
         assert _open_fds() == before
 
 
-# -- engine selection and fallback ----------------------------------------------
+# -- engine selection --------------------------------------------------------------
 
 
 def test_validate_engine_rejects_unknown():
     with pytest.raises(ValueError, match="unknown replay engine"):
         validate_engine("turbo")
-
-
-def test_v1_trace_falls_back_to_cycle_engine():
-    from repro.cpu.tracefile import TraceWriter
-    machine = Machine(assemble(TINY, name="tiny.s"))
-    buffer = io.BytesIO()
-    machine.attach(TraceWriter(buffer, machine.config.rob_banks))
-    machine.run(10_000)
-    profiler = SoftwareProfiler(SampleSchedule(5))
-    stream = io.BytesIO(buffer.getvalue())
-    cycles, engine = replay_with_engine(stream, [profiler],
-                                        engine="block")
-    assert engine == "cycle"
-    assert cycles > 0
-    assert profiler.samples
 
 
 # -- simulation-side batching ----------------------------------------------------
@@ -272,23 +244,3 @@ def test_from_records_round_trip():
     assert copies[0].committed[0].mispredicted
     assert copies[1].rob_head == 0x50
     assert not copies[1].rob_empty
-
-
-# -- hot-path benchmark -----------------------------------------------------------
-
-
-def test_hotpath_bench_quick(golden, tmp_path):
-    expected = golden.expected
-    output = str(tmp_path / "BENCH_hotpath.json")
-    result = run_hotpath_bench(golden.trace, golden.image, output=output,
-                               period=expected["period"],
-                               mode=expected["mode"],
-                               seed=expected["seed"],
-                               policies=("TIP", "LCI"), repeats=1)
-    assert result["checksums_equal"]
-    assert set(result["rows"]) == {"TIP", "LCI", "Oracle", "all"}
-    for entry in result["rows"].values():
-        assert entry["checksums_equal"]
-        assert entry["cycle_s"] > 0 and entry["block_s"] > 0
-    with open(output) as handle:
-        assert json.load(handle)["checksums_equal"]

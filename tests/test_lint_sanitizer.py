@@ -13,7 +13,7 @@ from conftest import COUNT_LOOP, make_record
 from repro.cpu.config import CoreConfig
 from repro.cpu.machine import Machine
 from repro.cpu.trace import CommittedInst, CycleRecord, HeadEntry
-from repro.cpu.tracefile import TraceWriter, read_trace
+from repro.cpu.tracefile import TraceReader, TraceWriter
 from repro.isa.assembler import assemble
 from repro.lint import TraceInvariantError, TraceSanitizer, sanitize_trace
 
@@ -279,7 +279,8 @@ def test_recorded_trace_sanitizes_clean():
     machine.attach(TraceWriter(buffer, machine.config.rob_banks))
     machine.run(100_000)
 
-    records = list(read_trace(io.BytesIO(buffer.getvalue())))
+    with TraceReader(buffer.getvalue()) as reader:
+        records = list(reader.records())
     sanitizer = sanitize_trace(records, program=machine.image)
     assert sanitizer.ok
     assert sanitizer.cycles_checked == len(records)

@@ -3,7 +3,8 @@
 The contract under test: when the fast path detects a fully periodic
 pipeline steady state and skips whole loop iterations, every externally
 observable artifact stays bit-identical to single-stepping -- trace
-bytes in all three writer formats, block-assembled replay, sanitizer
+bytes (chunk boundaries inside memoized periods included),
+block-assembled replay, sanitizer
 verdicts and the core statistics (modulo the driver-side
 ``CoreStats.DRIVER_FIELDS``, which record *how* the run was driven) --
 including when sampling interrupts land mid-period, and with
@@ -15,9 +16,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import (Machine, TraceWriter, TraceWriterV2, TraceWriterV3,
-                       shifted_record)
+from repro.cpu import Machine, TraceWriter, shifted_record
 from repro.cpu.core import CoreStats
+from repro.cpu.tracefile import DEFAULT_CHUNK_CYCLES
 from repro.cpu.trace import TraceCollector
 from repro.fastpath.engine import BlockAssembler
 from repro.isa.assembler import assemble
@@ -47,12 +48,13 @@ loop:
 """
 
 
-def _run(program, sim, writer_cls=TraceWriterV3, paranoid=False,
+def _run(program, sim, chunk_cycles=DEFAULT_CHUNK_CYCLES, paranoid=False,
          perf_sampling=None, premapped=None):
     machine = Machine(program, premapped_data=premapped,
                       perf_sampling=perf_sampling)
     buffer = io.BytesIO()
-    machine.attach(writer_cls(buffer, machine.config.rob_banks))
+    machine.attach(TraceWriter(buffer, machine.config.rob_banks,
+                               chunk_cycles=chunk_cycles))
     stats = machine.run(2_000_000, sim=sim, paranoid=paranoid)
     return buffer.getvalue(), stats, machine
 
@@ -70,12 +72,12 @@ def test_memoizer_fires_and_traces_bit_identical():
     program = assemble(ILP_LOOP, name="ilp-loop")
     step_stats = fast_stats = None
     step_m = fast_m = None
-    for writer_cls in (TraceWriter, TraceWriterV2, TraceWriterV3):
+    for chunk_cycles in (DEFAULT_CHUNK_CYCLES, 4):
         step_trace, step_stats, step_m = _run(program, "step",
-                                              writer_cls)
+                                              chunk_cycles)
         fast_trace, fast_stats, fast_m = _run(program, "fast",
-                                              writer_cls)
-        assert fast_trace == step_trace, writer_cls
+                                              chunk_cycles)
+        assert fast_trace == step_trace, chunk_cycles
         assert _content_stats(fast_stats) == _content_stats(step_stats)
     # The loop is compute-bound: the skipped cycles must come from the
     # memoizer, and the skip must not disturb architectural state.
@@ -170,27 +172,22 @@ def _period_records(n=3, base_cycle=1, commits=True):
 
 
 @pytest.mark.parametrize("commits", (True, False))
-@pytest.mark.parametrize("writer_cls,kwargs", [
-    (TraceWriter, {}),
-    (TraceWriterV2, {"chunk_cycles": 4}),
-    (TraceWriterV3, {"chunk_cycles": 4}),
-])
-def test_on_cycle_run_matches_repeated_on_cycle(writer_cls, kwargs,
-                                                commits):
+@pytest.mark.parametrize("chunk_cycles", (DEFAULT_CHUNK_CYCLES, 4))
+def test_on_cycle_run_matches_repeated_on_cycle(chunk_cycles, commits):
     """One batched period call == n*repeats single-cycle calls, with
     chunk boundaries landing mid-period (chunk_cycles=4, period=3)."""
     records = _period_records(commits=commits)
     n, repeats = len(records), 5
 
     stepped = io.BytesIO()
-    writer = writer_cls(stepped, 2, **kwargs)
+    writer = TraceWriter(stepped, 2, chunk_cycles=chunk_cycles)
     writer.on_cycle(make_record(0))
     for t in range(n * repeats):
         writer.on_cycle(shifted_record(records[t % n], n * (t // n)))
     writer.on_finish(n * repeats)
 
     batched = io.BytesIO()
-    writer = writer_cls(batched, 2, **kwargs)
+    writer = TraceWriter(batched, 2, chunk_cycles=chunk_cycles)
     writer.on_cycle(make_record(0))
     writer.on_cycle_run(records, repeats)
     writer.on_finish(n * repeats)

@@ -2,7 +2,7 @@
 
 The contract under test: ``sim="fast"``, paranoid mode and a
 simulation-cache hit all produce results bit-identical to plain
-single-stepping -- the same v2 trace bytes and the same profiler
+single-stepping -- the same trace bytes and the same profiler
 reports, floating point included.
 """
 
@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import (Machine, MaxCyclesExceeded, TraceWriter,
-                       TraceWriterV2, shifted_record)
-from repro.cpu.tracefile import replay_trace
+                       shifted_record)
+from repro.cpu.tracefile import DEFAULT_CHUNK_CYCLES, replay_trace
 from repro.cpu.trace import TraceCollector
 from repro.harness.experiment import default_profilers
 from repro.harness.runner import run_suite, run_workload
@@ -54,11 +54,12 @@ def _random_program(seed: int):
 
 
 def _trace_of(program, sim, paranoid=False, premapped=None,
-              writer_cls=TraceWriterV2):
+              chunk_cycles=DEFAULT_CHUNK_CYCLES):
     machine = Machine(program, premapped_data=premapped or
                       [(DATA_BASE, DATA_BASE + 8 * DATA_WORDS)])
     buffer = io.BytesIO()
-    machine.attach(writer_cls(buffer, machine.config.rob_banks))
+    machine.attach(TraceWriter(buffer, machine.config.rob_banks,
+                               chunk_cycles=chunk_cycles))
     stats = machine.run(2_000_000, sim=sim, paranoid=paranoid)
     return buffer.getvalue(), stats
 
@@ -96,12 +97,12 @@ def test_fast_forward_fires_on_stall_heavy_program():
                                        premapped=STALL_HEAVY_MAP)
     assert fast_trace == step_trace
     assert fast_stats.fast_forwarded > 0
-    # The v1 (flat) writer batches stall runs too.
-    v1_step, _ = _trace_of(program, "step", premapped=STALL_HEAVY_MAP,
-                           writer_cls=TraceWriter)
-    v1_fast, _ = _trace_of(program, "fast", premapped=STALL_HEAVY_MAP,
-                           writer_cls=TraceWriter)
-    assert v1_fast == v1_step
+    # Batched stall runs split at chunk boundaries byte-identically.
+    small_step, _ = _trace_of(program, "step", premapped=STALL_HEAVY_MAP,
+                              chunk_cycles=4)
+    small_fast, _ = _trace_of(program, "fast", premapped=STALL_HEAVY_MAP,
+                              chunk_cycles=4)
+    assert small_fast == small_step
 
 
 def test_fast_experiment_results_identical():
@@ -125,12 +126,12 @@ def test_unknown_sim_mode_rejected():
 
 
 def test_on_stall_run_matches_repeated_on_cycle():
-    """One batched call == N single-cycle calls, for both writers."""
+    """One batched call == N single-cycle calls, whether the run fits
+    in a chunk or spans several."""
     stall = make_record(3, rob_head=0x40, fetch_pc=0x80)
-    for writer_cls, kwargs in ((TraceWriter, {}),
-                               (TraceWriterV2, {"chunk_cycles": 4})):
+    for chunk_cycles in (DEFAULT_CHUNK_CYCLES, 4):
         stepped = io.BytesIO()
-        writer = writer_cls(stepped, 2, **kwargs)
+        writer = TraceWriter(stepped, 2, chunk_cycles=chunk_cycles)
         writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
         writer.on_cycle(make_record(1, dispatched=[0x44]))
         writer.on_cycle(make_record(2))
@@ -139,13 +140,13 @@ def test_on_stall_run_matches_repeated_on_cycle():
         writer.on_finish(12)
 
         batched = io.BytesIO()
-        writer = writer_cls(batched, 2, **kwargs)
+        writer = TraceWriter(batched, 2, chunk_cycles=chunk_cycles)
         writer.on_cycle(make_record(0, committed=[(0x40, False, False)]))
         writer.on_cycle(make_record(1, dispatched=[0x44]))
         writer.on_cycle(make_record(2))
         writer.on_stall_run(stall, 10)
         writer.on_finish(12)
-        assert stepped.getvalue() == batched.getvalue(), writer_cls
+        assert stepped.getvalue() == batched.getvalue(), chunk_cycles
 
 
 # -- the content-addressed cache ---------------------------------------------------
@@ -252,12 +253,12 @@ def test_suite_surfaces_max_cycles_failure():
 # -- atomic path-mode trace writer -------------------------------------------------
 
 
-def test_writer_v2_path_mode_is_atomic(tmp_path):
+def test_writer_path_mode_is_atomic(tmp_path):
     destination = tmp_path / "run.tiptrace"
     program = _random_program(1)
     machine = Machine(program, premapped_data=[
         (DATA_BASE, DATA_BASE + 8 * DATA_WORDS)])
-    writer = TraceWriterV2(str(destination), machine.config.rob_banks)
+    writer = TraceWriter(str(destination), machine.config.rob_banks)
     machine.attach(writer)
     assert not destination.exists()  # only the .tmp sibling exists
     machine.run(2_000_000, sim="fast")
@@ -268,9 +269,9 @@ def test_writer_v2_path_mode_is_atomic(tmp_path):
     assert len(collector) == machine.stats.cycles
 
 
-def test_writer_v2_abort_leaves_nothing(tmp_path):
+def test_writer_abort_leaves_nothing(tmp_path):
     destination = tmp_path / "run.tiptrace"
-    writer = TraceWriterV2(str(destination), 2)
+    writer = TraceWriter(str(destination), 2)
     writer.on_cycle(make_record(0))
     writer.abort()
     assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,8 @@ from repro.core.sampling import SampleSchedule
 from repro.core.tip import TipProfiler
 from repro.cpu.machine import Machine
 from repro.cpu.trace import TraceCollector
-from repro.cpu.tracefile import (TraceWriter, read_trace, replay_trace)
+from repro.cpu.tracefile import (DEFAULT_CHUNK_CYCLES, TraceReader,
+                                 TraceWriter, replay_trace)
 from repro.isa import assemble
 from repro.workloads import build_workload, k_csr_flush, k_int_ilp
 
@@ -35,7 +36,7 @@ def recorded():
     program = assemble(SRC)
     machine = Machine(program, premapped_data=[(0x2000, 0x2200)])
     buffer = io.BytesIO()
-    writer = TraceWriter(buffer, banks=4)
+    writer = TraceWriter(buffer, banks=4, chunk_cycles=64)
     collector = TraceCollector()
     machine.attach(writer)
     machine.attach(collector)
@@ -43,9 +44,14 @@ def recorded():
     return buffer.getvalue(), collector, machine
 
 
+def _decode(data):
+    with TraceReader(data) as reader:
+        return list(reader.records())
+
+
 def test_round_trip_every_field(recorded):
     data, collector, _ = recorded
-    decoded = list(read_trace(io.BytesIO(data)))
+    decoded = _decode(data)
     assert len(decoded) == len(collector.records)
     for original, copy in zip(collector.records, decoded):
         assert copy.cycle == original.cycle
@@ -100,18 +106,15 @@ def test_replay_from_file(tmp_path, recorded):
 
 def test_bad_magic_rejected():
     with pytest.raises(ValueError, match="not a TIP trace"):
-        list(read_trace(io.BytesIO(b"BOGUS123" + b"\x04")))
+        TraceReader(b"BOGUS123" + bytes(8))
 
 
 def test_truncated_stream_rejected(recorded):
     data, _, _ = recorded
-    with pytest.raises((ValueError, struct_error_types())):
-        list(read_trace(io.BytesIO(data[:len(data) // 2 + 1])))
-
-
-def struct_error_types():
-    import struct
-    return struct.error
+    with pytest.raises(ValueError, match="truncated"):
+        TraceReader(io.BytesIO(data[:len(data) // 2 + 1]))
+    with pytest.raises(ValueError, match="truncated trace header"):
+        TraceReader(data[:12])
 
 
 def test_compactness(recorded):
@@ -155,34 +158,6 @@ def _random_records(draw):
     return records
 
 
-@given(records=_random_records())
-@settings(max_examples=40, deadline=None)
-def test_property_round_trip(records):
-    buffer = io.BytesIO()
-    writer = TraceWriter(buffer, banks=4)
-    for record in records:
-        writer.on_cycle(record)
-    writer.on_finish(records[-1].cycle)
-    decoded = list(read_trace(io.BytesIO(buffer.getvalue())))
-    assert len(decoded) == len(records)
-    for original, copy in zip(records, decoded):
-        assert copy.fetch_pc == original.fetch_pc
-        assert copy.rob_head == original.rob_head
-        assert copy.exception == original.exception
-        assert tuple(copy.dispatched) == tuple(original.dispatched)
-        assert [c.addr for c in copy.committed] == \
-            [c.addr for c in original.committed]
-        assert [c.mispredicted for c in copy.committed] == \
-            [c.mispredicted for c in original.committed]
-
-
-# -- format v2: chunk-indexed traces --------------------------------------------
-
-from repro.cpu.tracefile import (ChunkCarry, TraceWriterV2,
-                                 convert_v1_to_v2, read_chunk,
-                                 read_index)
-
-
 def _records_equal(a, b):
     assert a.cycle == b.cycle
     assert a.rob_empty == b.rob_empty
@@ -199,179 +174,91 @@ def _records_equal(a, b):
          for c in b.committed]
 
 
-def _write_v2(records, chunk_cycles, compress):
+def _write(records, chunk_cycles):
     buffer = io.BytesIO()
-    writer = TraceWriterV2(buffer, banks=4, chunk_cycles=chunk_cycles,
-                           compress=compress)
+    writer = TraceWriter(buffer, banks=4, chunk_cycles=chunk_cycles)
     for record in records:
         writer.on_cycle(record)
     writer.on_finish(records[-1].cycle if records else 0)
     return buffer.getvalue()
 
 
-@given(records=_random_records(),
-       chunk_cycles=st.integers(1, 40),
-       compress=st.booleans())
+@given(records=_random_records())
 @settings(max_examples=40, deadline=None)
-def test_property_v2_round_trip(records, chunk_cycles, compress):
-    """v2 streams decode identically across chunk sizes/compression."""
-    data = _write_v2(records, chunk_cycles, compress)
-    decoded = list(read_trace(io.BytesIO(data)))
+def test_property_round_trip(records):
+    """Every field survives a round trip at the default chunk size."""
+    decoded = _decode(_write(records, DEFAULT_CHUNK_CYCLES))
     assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
         _records_equal(original, copy)
 
 
-@given(records=_random_records(),
-       chunk_cycles=st.integers(1, 40),
-       compress=st.booleans())
+@given(records=_random_records(), chunk_cycles=st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
-def test_property_v2_index_and_chunks(records, chunk_cycles, compress):
-    """The chunk directory tiles the trace: dense cycle ranges, carry
-    state derivable from the record prefix, chunk payloads decodable in
-    isolation."""
-    data = _write_v2(records, chunk_cycles, compress)
-    index = read_index(data)
-    assert index.banks == 4
-    assert index.compressed == compress
-    assert index.chunk_cycles == chunk_cycles
-    assert index.total_records == len(records)
+def test_property_chunked_round_trip(records, chunk_cycles):
+    """Every field survives a round trip, whatever the chunk size."""
+    decoded = _decode(_write(records, chunk_cycles))
+    assert len(decoded) == len(records)
+    for original, copy in zip(records, decoded):
+        _records_equal(original, copy)
 
-    rebuilt = []
-    expected_start = 0
-    reference = ChunkCarry()
-    for chunk in index.chunks:
-        assert chunk.start_cycle == expected_start
-        assert 0 < chunk.n_records <= chunk_cycles
-        expected_start += chunk.n_records
-        # The header carry equals the carry at the chunk's first cycle.
-        carry = chunk.carry
-        assert (carry.oir_addr, carry.oir_flag, carry.oir_kind,
-                carry.last_committed, carry.drain_pending) == \
-            (reference.oir_addr, reference.oir_flag, reference.oir_kind,
-             reference.last_committed, reference.drain_pending)
-        chunk_records = read_chunk(data, index, chunk)
-        for record in chunk_records:
-            reference.update(record)
-        rebuilt.extend(chunk_records)
+
+@given(records=_random_records(), chunk_cycles=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_property_index_and_chunks(records, chunk_cycles):
+    """The chunk directory tiles the trace: dense cycle ranges, and
+    every chunk decodes on its own."""
+    with TraceReader(_write(records, chunk_cycles)) as reader:
+        index = reader.index
+        assert index.banks == 4
+        assert index.chunk_cycles == chunk_cycles
+        assert index.total_records == len(records)
+        rebuilt = []
+        expected_start = 0
+        for chunk in index.chunks:
+            assert chunk.start_cycle == expected_start
+            assert 0 < chunk.n_records <= chunk_cycles
+            expected_start += chunk.n_records
+            rebuilt.extend(reader.chunk_block(chunk).records())
     assert len(rebuilt) == len(records)
     for original, copy in zip(records, rebuilt):
         _records_equal(original, copy)
 
 
-@given(records=_random_records(),
-       chunk_cycles=st.integers(1, 40),
-       compress=st.booleans())
-@settings(max_examples=30, deadline=None)
-def test_property_v1_to_v2_conversion_preserves_records(
-        records, chunk_cycles, compress):
-    v1 = io.BytesIO()
-    writer = TraceWriter(v1, banks=4)
-    for record in records:
-        writer.on_cycle(record)
-    writer.on_finish(records[-1].cycle)
+# -- mmap, layout and chunk edge cases ------------------------------------------
 
-    v2 = io.BytesIO()
-    converted = convert_v1_to_v2(v1.getvalue(), v2,
-                                 chunk_cycles=chunk_cycles,
-                                 compress=compress)
-    assert converted == len(records)
-    decoded = list(read_trace(io.BytesIO(v2.getvalue())))
+import os
+import tempfile
+
+
+@given(records=_random_records(), chunk_cycles=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_property_v3_mmap_round_trip(records, chunk_cycles):
+    """An mmap-ed file decodes to the written records, and the layout
+    invariants hold: 8-aligned chunk payloads of 8-aligned size."""
+    data = _write(records, chunk_cycles)
+    fd, path = tempfile.mkstemp(suffix=".tiptrace")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        with TraceReader(path) as reader:
+            assert reader.index.total_records == len(records)
+            for chunk in reader.index.chunks:
+                assert chunk.offset % 8 == 0
+                assert chunk.payload_bytes % 8 == 0
+            decoded = list(reader.records())
+    finally:
+        os.unlink(path)
     assert len(decoded) == len(records)
     for original, copy in zip(records, decoded):
         _records_equal(original, copy)
 
 
-def test_read_index_rejects_v1(recorded):
-    data, _, _ = recorded
-    with pytest.raises(ValueError, match="v1"):
-        read_index(data)
-
-
-def test_convert_rejects_v2():
-    data = _write_v2([], 8, False)
-
-    with pytest.raises(ValueError, match="not format v1"):
-        convert_v1_to_v2(data, io.BytesIO())
-
-
-def test_v2_replay_drives_profilers(recorded):
-    """A v2 re-encoding of a v1 trace replays identically."""
-    data, _, machine = recorded
-    v2 = io.BytesIO()
-    convert_v1_to_v2(data, v2, chunk_cycles=64)
-    v1_tip = TipProfiler(SampleSchedule(7), machine.image)
-    v2_tip = TipProfiler(SampleSchedule(7), machine.image)
-    assert replay_trace(data, v1_tip) == \
-        replay_trace(v2.getvalue(), v2_tip)
-    assert [(s.cycle, s.weights) for s in v1_tip.samples] == \
-        [(s.cycle, s.weights) for s in v2_tip.samples]
-
-
-def test_v2_compression_shrinks_trace(recorded):
-    data, _, _ = recorded
-    plain, packed = io.BytesIO(), io.BytesIO()
-    convert_v1_to_v2(data, plain, chunk_cycles=256, compress=False)
-    convert_v1_to_v2(data, packed, chunk_cycles=256, compress=True)
-    assert len(packed.getvalue()) < len(plain.getvalue()) / 2
-
-
-# -- format v3: zero-copy columnar traces ---------------------------------------
-
-import os
-import tempfile
-
-from repro.cpu.tracefile import (TraceReaderV2, TraceReaderV3,
-                                 TraceWriterV3, convert_trace,
-                                 open_reader)
-
-
-def _write_v3(records, chunk_cycles, compress):
-    buffer = io.BytesIO()
-    writer = TraceWriterV3(buffer, banks=4, chunk_cycles=chunk_cycles,
-                           compress=compress)
-    for record in records:
-        writer.on_cycle(record)
-    writer.on_finish(records[-1].cycle if records else 0)
-    return buffer.getvalue()
-
-
-@given(records=_random_records(),
-       chunk_cycles=st.integers(1, 40),
-       compress=st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_property_v3_mmap_round_trip(records, chunk_cycles, compress):
-    """An mmap-ed v3 file decodes to exactly what the v2 path yields,
-    and the layout invariants hold: 8-aligned chunk payloads, raw size
-    equal to payload size unless zlib ran."""
-    data = _write_v3(records, chunk_cycles, compress)
-    via_v2 = list(read_trace(io.BytesIO(
-        _write_v2(records, chunk_cycles, compress))))
-    fd, path = tempfile.mkstemp(suffix=".tiptrace")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        with TraceReaderV3(path) as reader:
-            assert reader.index.total_records == len(records)
-            for chunk in reader.index.chunks:
-                assert chunk.offset % 8 == 0
-                if not compress:
-                    assert chunk.payload_bytes == chunk.raw_bytes
-            decoded = list(reader.records())
-    finally:
-        os.unlink(path)
-    assert len(decoded) == len(records) == len(via_v2)
-    for original, copy in zip(records, decoded):
-        _records_equal(original, copy)
-    for original, copy in zip(via_v2, decoded):
-        _records_equal(original, copy)
-
-
 def test_v3_empty_trace():
-    """A v3 trace with zero records is just the 16-byte header."""
-    data = _write_v3([], 8, False)
+    """A trace with zero records is just the 16-byte header."""
+    data = _write([], 8)
     assert len(data) == 16
-    with TraceReaderV3(data) as reader:
+    with TraceReader(data) as reader:
         assert reader.index.total_records == 0
         assert reader.index.chunks == []
         assert list(reader.records()) == []
@@ -382,8 +269,8 @@ def test_v3_single_cycle_chunks():
     from conftest import make_record
     records = [make_record(c, fetch_pc=0x1000 + 4 * c, banks=4)
                for c in range(5)]
-    data = _write_v3(records, 1, False)
-    with TraceReaderV3(data) as reader:
+    data = _write(records, 1)
+    with TraceReader(data) as reader:
         assert len(reader.index.chunks) == 5
         assert all(chunk.n_records == 1
                    for chunk in reader.index.chunks)
@@ -399,11 +286,11 @@ def test_v3_stall_run_split_across_chunks():
     tail = make_record(0, committed=[(0x4000, False, False)],
                        fetch_pc=0x4004, banks=4)
     buffer = io.BytesIO()
-    writer = TraceWriterV3(buffer, banks=4, chunk_cycles=4)
+    writer = TraceWriter(buffer, banks=4, chunk_cycles=4)
     writer.on_stall_run(stall, 10)  # spans chunks 0..2
     writer.on_cycle(tail)
     writer.on_finish(10)
-    with TraceReaderV3(buffer.getvalue()) as reader:
+    with TraceReader(buffer.getvalue()) as reader:
         assert [chunk.n_records for chunk in reader.index.chunks] == \
             [4, 4, 3]
         decoded = list(reader.records())
@@ -418,90 +305,36 @@ def test_v3_stall_run_split_across_chunks():
         _records_equal(original, copy)
 
 
-def test_v3_zlib_fallback_decodes_identically(recorded):
-    """Compressed v3 traces lose zero-copy but not correctness."""
-    data, collector, _ = recorded
-    plain, packed = io.BytesIO(), io.BytesIO()
-    convert_trace(data, plain, version=3, chunk_cycles=256)
-    convert_trace(data, packed, version=3, chunk_cycles=256,
-                  compress=True)
-    assert len(packed.getvalue()) < len(plain.getvalue()) / 2
-    with TraceReaderV3(packed.getvalue()) as reader:
-        decoded = list(reader.records())
-    assert len(decoded) == len(collector.records)
-    for original, copy in zip(collector.records, decoded):
-        _records_equal(original, copy)
+# -- retired formats --------------------------------------------------------------
 
 
-def test_open_reader_dispatches_on_magic(recorded):
+@pytest.mark.parametrize("magic,version", [(b"TIPTRC01", 1),
+                                           (b"TIPTRC02", 2)])
+def test_reader_rejects_retired_formats(magic, version):
+    """v1 and v2 traces are refused by name, not misread."""
+    with pytest.raises(ValueError,
+                       match=f"format v{version} is no longer supported"):
+        TraceReader(magic + bytes(8))
+
+
+def test_zlib_flag_rejected(recorded):
+    """A header with the retired zlib flag is refused, not misread."""
     data, _, _ = recorded
-    v2, v3 = io.BytesIO(), io.BytesIO()
-    convert_trace(data, v2, version=2)
-    convert_trace(data, v3, version=3)
-    with open_reader(v2.getvalue()) as reader:
-        assert isinstance(reader, TraceReaderV2)
-    with open_reader(v3.getvalue()) as reader:
-        assert isinstance(reader, TraceReaderV3)
-    with pytest.raises(ValueError):
-        open_reader(data)  # v1 has no chunk index
-
-
-# -- conversion round trips -----------------------------------------------------
-
-
-def test_convert_v1_to_v3_preserves_records(recorded):
-    data, collector, _ = recorded
-    v3 = io.BytesIO()
-    converted = convert_trace(data, v3, version=3, chunk_cycles=64)
-    assert converted == len(collector.records)
-    decoded = list(read_trace(io.BytesIO(v3.getvalue())))
-    assert len(decoded) == len(collector.records)
-    for original, copy in zip(collector.records, decoded):
-        _records_equal(original, copy)
-
-
-def test_convert_round_trips_are_byte_identical(recorded):
-    """v2 -> v3 -> v2 and v3 -> v2 -> v3 reproduce the input bytes
-    exactly when the chunk parameters match."""
-    data, _, _ = recorded
-    v2 = io.BytesIO()
-    convert_trace(data, v2, version=2, chunk_cycles=64)
-    v3 = io.BytesIO()
-    convert_trace(v2.getvalue(), v3, version=3, chunk_cycles=64)
-    v2_again = io.BytesIO()
-    convert_trace(v3.getvalue(), v2_again, version=2, chunk_cycles=64)
-    assert v2_again.getvalue() == v2.getvalue()
-    v3_again = io.BytesIO()
-    convert_trace(v2_again.getvalue(), v3_again, version=3,
-                  chunk_cycles=64)
-    assert v3_again.getvalue() == v3.getvalue()
-
-
-@given(records=_random_records(),
-       chunk_cycles=st.integers(1, 40),
-       compress=st.booleans())
-@settings(max_examples=30, deadline=None)
-def test_property_v2_v3_conversion_round_trip(records, chunk_cycles,
-                                              compress):
-    v2 = _write_v2(records, chunk_cycles, compress)
-    v3 = io.BytesIO()
-    convert_trace(v2, v3, version=3, chunk_cycles=chunk_cycles,
-                  compress=compress)
-    assert v3.getvalue() == _write_v3(records, chunk_cycles, compress)
-    back = io.BytesIO()
-    convert_trace(v3.getvalue(), back, version=2,
-                  chunk_cycles=chunk_cycles, compress=compress)
-    assert back.getvalue() == v2
+    flagged = bytearray(data)
+    flagged[9] |= 1  # file-header flags byte, bit 0: zlib payloads
+    with pytest.raises(ValueError, match="zlib"):
+        TraceReader(bytes(flagged))
 
 
 def test_v3_replay_drives_profilers(recorded):
-    """A v3 re-encoding of a v1 trace replays identically."""
-    data, _, machine = recorded
-    v3 = io.BytesIO()
-    convert_trace(data, v3, version=3, chunk_cycles=64)
-    v1_tip = TipProfiler(SampleSchedule(7), machine.image)
-    v3_tip = TipProfiler(SampleSchedule(7), machine.image)
-    assert replay_trace(data, v1_tip) == \
-        replay_trace(v3.getvalue(), v3_tip)
-    assert [(s.cycle, s.weights) for s in v1_tip.samples] == \
-        [(s.cycle, s.weights) for s in v3_tip.samples]
+    """Replaying the recorded trace samples exactly what a profiler
+    attached to the live simulation samples."""
+    data, _, _ = recorded
+    rerun = Machine(assemble(SRC), premapped_data=[(0x2000, 0x2200)])
+    live_tip = TipProfiler(SampleSchedule(7), rerun.image)
+    rerun.attach(live_tip)
+    rerun.run()
+    replayed_tip = TipProfiler(SampleSchedule(7), rerun.image)
+    assert replay_trace(data, replayed_tip) > 0
+    assert [(s.cycle, s.weights) for s in live_tip.samples] == \
+        [(s.cycle, s.weights) for s in replayed_tip.samples]
